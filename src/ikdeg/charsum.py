@@ -106,19 +106,27 @@ def _enumeration_guard(F: Field, n: int, b, budget: int) -> FieldElt:
     return b
 
 
+def _brute_distribution(F: Field, n: int, b) -> dict:
+    """Count unit tuples by s = x_1 + ... + x_n + b/(x_1 ... x_n), keyed by s.coeffs."""
+    q1 = max(F.q - 1, 1)
+    units = [F.pow_of_generator(j) for j in range(q1)]
+    b_over = [b * units[-j % q1] for j in range(q1)]  # b / g^j
+    dist: dict = {}
+    for js in itertools.product(range(q1), repeat=n):
+        s = b_over[sum(js) % q1]
+        for j in js:
+            s = s + units[j]
+        dist[s.coeffs] = dist.get(s.coeffs, 0) + 1
+    return dist
+
+
 def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> SumValue:
     """K_n(q, b) by direct enumeration of the n free coordinates."""
     b = _enumeration_guard(F, n, b, budget)
-    q1 = max(F.q - 1, 1)
     tr = _trace_table(F)
-    units = [F.pow_of_generator(j) for j in range(q1)]
     counts = [0] * F.p
-    for js in itertools.product(range(q1), repeat=n):
-        s = units[js[0]]
-        for j in js[1:]:
-            s = s + units[j]
-        tot = s + b * units[(-sum(js)) % q1]
-        counts[tr[tot.coeffs]] += 1
+    for s, count in _brute_distribution(F, n, b).items():
+        counts[tr[s]] += count
     return SumValue(CycInt(F.p, counts), 1)
 
 
@@ -127,18 +135,11 @@ def inverted_kloosterman_brute(
 ) -> SumValue:
     """IK_n(q, b) by direct enumeration; the empty sum is 0."""
     b = _enumeration_guard(F, n, b, budget)
-    q1 = max(F.q - 1, 1)
     tr = _trace_table(F)
-    units = [F.pow_of_generator(j) for j in range(q1)]
     counts = [0] * F.p
-    for js in itertools.product(range(q1), repeat=n):
-        s = units[js[0]]
-        for j in js[1:]:
-            s = s + units[j]
-        s = s + b * units[(-sum(js)) % q1]
-        if s.is_zero():
-            continue
-        counts[tr[s.inverse().coeffs]] += 1
+    for s, count in _brute_distribution(F, n, b).items():
+        if any(s):
+            counts[tr[F.elt(s).inverse().coeffs]] += count
     return SumValue(CycInt(F.p, counts), 1)
 
 

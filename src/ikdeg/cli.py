@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -20,7 +18,7 @@ from .charsum import (
     inverted_kloosterman_brute,
 )
 from .cyclo import embed_complex, lower_conductor
-from .errors import BudgetExceeded, IKDegError, InvalidParameters
+from .errors import BudgetExceeded, IKDegError, InvalidParameters, PrecisionTooLow
 from .ff import Field, get_field, is_prime
 from .galois import degree_of, min_poly
 from .padic import run_case_analysis
@@ -139,21 +137,22 @@ def _emit(records, fmt, out):
 
 
 def _parse_b(F: Field, raw: str):
-    if ":" in raw:
-        coords = [int(c) for c in raw.split(":")]
-    else:
-        coords = [int(raw)] + [0] * (F.k - 1)
+    try:
+        if ":" in raw:
+            coords = [int(c) for c in raw.split(":")]
+        else:
+            coords = [int(raw)] + [0] * (F.k - 1)
+    except ValueError:
+        raise InvalidParameters(f"b must be an integer or c0:c1:..., got {raw!r}") from None
     b = F.elt(coords)
     if b.is_zero():
         raise InvalidParameters("b must be nonzero")
     return b
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("IKDEG_THREADS")
-    return int(env) if env else 1
+def _first(*values):
+    """The first value that was given (is not None)."""
+    return next(v for v in values if v is not None)
 
 
 def cmd_verify(args) -> int:
@@ -164,31 +163,33 @@ def cmd_verify(args) -> int:
     elif args.suite == "degree":
         if args.p is not None and not is_prime(args.p):
             raise InvalidParameters(f"{args.p} is not prime")
-        p_max = args.p if args.p is not None else (args.p_max or suites.DEGREE_P_MAX)
-        n_max = args.n if args.n is not None else (args.n_max or suites.DEGREE_N_MAX)
+        p_max = _first(args.p, args.p_max, suites.DEGREE_P_MAX)
+        n_max = _first(args.n, args.n_max, suites.DEGREE_N_MAX)
         ok, lines = suites.degree_suite(p_max, n_max)
     elif args.suite == "stickelberger":
         primes = (
             (args.p,)
             if args.p is not None
-            else tuple(q for q in suites.STICKELBERGER_PRIMES if q <= (args.p_max or 19))
+            else tuple(q for q in suites.STICKELBERGER_PRIMES if q <= _first(args.p_max, 19))
         )
         ok, lines = suites.stickelberger_suite(primes, args.precision)
     elif args.suite == "cases":
         ok, lines = suites.cases_suite(args.precision)
     else:  # bounds
         ok, lines = suites.bounds_suite(budget=args.budget)
+    if not lines:
+        raise InvalidParameters("empty parameter range")
     for line in lines:
         print(line)
     return 0 if ok else 1
 
 
 def cmd_census(args) -> int:
-    p_lo = args.p or 3
-    p_hi = args.p_max or p_lo
-    n_lo = args.n or 1
-    n_hi = args.n_max or n_lo
-    k = args.k or 1
+    p_lo = args.p
+    p_hi = _first(args.p_max, p_lo)
+    n_lo = _first(args.n, 1)
+    n_hi = _first(args.n_max, n_lo)
+    k = _first(args.k, 1)
     primes = [p for p in range(p_lo, p_hi + 1) if is_prime(p)]
     if not primes or n_hi < n_lo:
         raise InvalidParameters("empty parameter range")
@@ -199,18 +200,13 @@ def cmd_census(args) -> int:
         for n in range(n_lo, n_hi + 1)
         for j in range(F.q - 1)
     ]
-    threads = _threads(args)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda item: census_record(*item), work))
-    else:
-        records = [census_record(*item) for item in work]
+    records = [census_record(*item) for item in work]
     _emit(records, args.format, args.out)
     return 0
 
 
 def cmd_sum(args) -> int:
-    F = get_field(args.p, args.k or 1)
+    F = get_field(args.p, _first(args.k, 1))
     b = _parse_b(F, args.b)
     n = args.n
     q = F.q
@@ -264,7 +260,6 @@ def build_parser():
     common.add_argument("--b", type=str)
     common.add_argument("--budget", type=int, default=2_000_000)
     common.add_argument("--precision", type=int)
-    common.add_argument("--threads", type=int)
     common.add_argument("--format", choices=["csv", "json", "table"], default="csv")
     common.add_argument("--out", type=str)
 
@@ -291,8 +286,12 @@ def main(argv=None) -> int:
                 raise InvalidParameters("sum needs --p, --n, and --b")
         if args.command == "census" and args.p is None:
             raise InvalidParameters("census needs --p")
+        for name in ("k", "n", "n_max"):
+            value = getattr(args, name)
+            if value is not None and value < 1:
+                raise InvalidParameters(f"--{name.replace('_', '-')} must be >= 1")
         return args.func(args)
-    except (InvalidParameters, BudgetExceeded) as exc:
+    except (InvalidParameters, BudgetExceeded, PrecisionTooLow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -88,16 +88,7 @@ def _ppowmod(a, e, mod, p):
 def _pgcd(a, b, p):
     a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        inv_lead = pow(b[-1], -1, p)
-        r = list(a)
-        db = len(b) - 1
-        for top in range(len(r) - 1, db - 1, -1):
-            c = r[top]
-            if c:
-                f = (c * inv_lead) % p
-                for i, bc in enumerate(b):
-                    r[top - db + i] = (r[top - db + i] - f * bc) % p
-        a, b = b, _ptrim(r[:db])
+        a, b = b, _pmod(a, b, p)
     return a
 
 
@@ -187,14 +178,7 @@ class FieldElt:
         if isinstance(other, int):
             other = self.field.elt(other)
         self._check(other)
-        F = self.field
-        prod = [0] * (2 * F.k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % F.p
-        red = _pmod(prod, F._mod_coeffs, F.p)
-        return FieldElt(F, red + [0] * (F.k - len(red)))
+        return FieldElt(self.field, self.field._mul_raw(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -307,12 +291,7 @@ class Field:
     # -- generator and discrete logs -------------------------------------
 
     def _mul_raw(self, a, b):
-        prod = [0] * (2 * self.k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % self.p
-        red = _pmod(prod, self._mod_coeffs, self.p)
+        red = _pmulmod(a, b, self._mod_coeffs, self.p)
         return tuple(red + [0] * (self.k - len(red)))
 
     def _pow_raw(self, a, e):

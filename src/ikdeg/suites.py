@@ -34,8 +34,8 @@ def _primes_upto(n):
 
 def identity_suite(p=None, n=None, budget=2_000_000):
     """Oracle equivalence: q(q-1) * brute == formula, exact."""
-    primes = [p] if p else list(IDENTITY_PRIMES)
-    ns = [n] if n else list(IDENTITY_NS)
+    primes = list(IDENTITY_PRIMES) if p is None else [p]
+    ns = list(IDENTITY_NS) if n is None else [n]
     for pp in primes:
         if not is_prime(pp):
             raise InvalidParameters(f"{pp} is not prime")

@@ -107,14 +107,6 @@ def test_census_extension_field(capsys):
         assert cells["case_label"] == ""
 
 
-def test_census_threads_deterministic(capsys):
-    _, serial, _ = run_cli(capsys, "census", "--p", "5", "--p-max", "11", "--n", "1")
-    _, threaded, _ = run_cli(
-        capsys, "census", "--p", "5", "--p-max", "11", "--n", "1", "--threads", "2"
-    )
-    assert serial == threaded
-
-
 def test_census_out_file(tmp_path, capsys):
     target = tmp_path / "census.csv"
     code, out, _ = run_cli(capsys, "census", "--p", "5", "--n", "1", "--out", str(target))
@@ -149,8 +141,24 @@ def test_out_io_error(tmp_path, capsys):
     assert "io error" in err
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("IKDEG_THREADS", "2")
-    code, out, _ = run_cli(capsys, "census", "--p", "7", "--n", "1")
-    assert code == 0
-    assert len(out.strip().split("\n")) == 7
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "--p", "5", "--n", "0", "--b", "1"],
+        ["sum", "--p", "5", "--n", "1", "--b", "x"],
+        ["sum", "--p", "5", "--k", "0", "--n", "1", "--b", "1"],
+        ["census", "--p", "5", "--n", "0"],
+        ["census", "--p", "3", "--k", "0", "--n", "1"],
+        ["verify", "degree", "--p", "5", "--n", "0"],
+        ["verify", "degree", "--p-max", "1"],
+        ["verify", "identity", "--p", "0"],
+        ["verify", "identity", "--n", "0"],
+        ["verify", "stickelberger", "--p-max", "2"],
+        ["verify", "stickelberger", "--p", "5", "--precision", "0"],
+    ],
+)
+def test_invalid_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,13 +3,21 @@ import random
 import pytest
 
 from ikdeg import kernels
-from ikdeg.kernels import _pykernels
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def test_linear_known():
     assert kernels.linear_convolve([1, 2], [3, 4]) == [3, 10, 8]
     assert kernels.linear_convolve([], [1]) == []
     assert kernels.linear_convolve([0, 0], [0]) == [0, 0]
+    assert kernels.linear_convolve([2**70], [0]) == [0]
 
 
 def test_cyclic_known():
@@ -23,30 +31,34 @@ def test_cyclic_length_mismatch():
         kernels.cyclic_convolve([1, 2], [1])
 
 
-@pytest.mark.parametrize("size", [1, 2, 7, 64, 311])
+# 930 is the longest convolution in the benchmark's kernel traffic, and
+# its coefficients reach 997 bits; 2**1000 covers that.
+@pytest.mark.parametrize("size", [1, 2, 7, 64, 311, 930])
 def test_pure_matches_compiled(size):
+    """The Kronecker kernel against the schoolbook product, linear and cyclic."""
     rng = random.Random(size)
-    a = [rng.randrange(-10**6, 10**6) for _ in range(size)]
-    b = [rng.randrange(-10**6, 10**6) for _ in range(size)]
-    assert kernels.linear_convolve(a, b, force="pure") == kernels.linear_convolve(a, b)
-    assert kernels.cyclic_convolve(a, b, force="pure") == kernels.cyclic_convolve(a, b)
 
+    def draw(lo, hi):
+        return [rng.randint(lo, hi) for _ in range(size)]
 
-def test_big_coefficients_fall_back_exactly():
-    rng = random.Random(0)
-    a = [rng.randrange(-(10**40), 10**40) for _ in range(16)]
-    b = [rng.randrange(-(10**40), 10**40) for _ in range(16)]
-    assert not kernels._i64_safe(a, b)
-    got = kernels.cyclic_convolve(a, b)
-    # schoolbook reference
-    want = [0] * 16
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            want[(i + j) % 16] += x * y
-    assert got == want
+    cases = [(draw(-top, top), draw(-top, top)) for top in (10**6, 2**70, 10**40, 2**1000)]
+    cases.append((draw(0, 2**70), draw(-(10**40), 0)))  # each side of one sign
+    cases.append((draw(-(2**70), 0), draw(-(2**70), 0)))
+    cases.append(([0] * size, draw(-(2**70), 2**70)))
+    cases.append(([2**70] * size, [-(2**70)] * size))  # every product at the bound
+    a, b = cases[0]
+    short = b[: size // 2 + 1]
+    assert kernels.linear_convolve(a, short) == schoolbook(a, short)
+    for a, b in cases:
+        want = schoolbook(a, b)
+        assert kernels.linear_convolve(a, b) == want
+        folded = want[:size]
+        for i in range(size, len(want)):
+            folded[i - size] += want[i]
+        assert kernels.cyclic_convolve(a, b) == folded
 
 
 def test_kronecker_signs():
     a = [-1, 2, -3]
     b = [4, -5]
-    assert _pykernels.linear_convolve(a, b) == [-4, 13, -22, 15]
+    assert kernels.linear_convolve(a, b) == [-4, 13, -22, 15]

@@ -34,7 +34,6 @@ def test_linear_convolution_matches_schoolbook(a, b):
         for j, y in enumerate(b):
             want[i + j] += x * y
     assert kernels.linear_convolve(a, b) == want
-    assert kernels.linear_convolve(a, b, force="pure") == want
 
 
 @given(st.integers(min_value=1, max_value=24), st.data())
@@ -43,7 +42,11 @@ def test_cyclic_convolution_commutative_and_matches_pure(m, data):
     b = data.draw(st.lists(coeff, min_size=m, max_size=m))
     ab = kernels.cyclic_convolve(a, b)
     assert ab == kernels.cyclic_convolve(b, a)
-    assert ab == kernels.cyclic_convolve(a, b, force="pure")
+    want = [0] * m
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[(i + j) % m] += x * y
+    assert ab == want
 
 
 small_coeff = st.integers(min_value=-50, max_value=50)
