@@ -185,7 +185,13 @@ def ik_formula_scaled(F: Field, n: int, b) -> SumValue:
 
 def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:
     """The scaled inverted sum rewritten at conductor p (it lies in Z[zeta_p])."""
-    return lower_conductor(ik_formula_scaled(F, n, b).value, F.p)
+    b = F.elt(b)
+    key = ("ik_at_p", n, b.coeffs)
+    cached = F._cache.get(key)
+    if cached is None:
+        cached = lower_conductor(ik_formula_scaled(F, n, b).value, F.p)
+        F._cache[key] = cached
+    return cached
 
 
 def s1_identity_check(F: Field, n: int) -> bool:

@@ -13,9 +13,11 @@ from math import gcd
 
 from . import suites
 from .charsum import (
+    SumValue,
     bounds_check,
     ik_formula_scaled,
     inverted_kloosterman_brute,
+    scaled_ik_at_p,
 )
 from .cyclo import embed_complex, lower_conductor
 from .errors import BudgetExceeded, IKDegError, InvalidParameters, PrecisionTooLow
@@ -74,12 +76,11 @@ def _fmt_cell(v):
 
 def census_record(F: Field, n: int, b) -> CensusRecord:
     p = F.p
-    sv = ik_formula_scaled(F, n, b)
-    z_p = lower_conductor(sv.value, p)
+    z_p = scaled_ik_at_p(F, n, b)
     degree = degree_of(z_p)
     bound = (p - 1) // gcd(n + 1, p - 1)
     matches = (degree == bound) if F.k == 1 else "n/a"
-    report = bounds_check(F, n, b, sv)
+    report = bounds_check(F, n, b, SumValue(z_p, F.q * (F.q - 1)))
     case_label, pred, obs = "", None, None
     if F.k == 1:
         if (n + 1) % (p - 1 if p > 2 else 1) == 0 or p == 2:

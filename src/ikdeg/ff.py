@@ -354,9 +354,20 @@ class Field:
 
 
 @lru_cache(maxsize=None)
-def get_field(p: int, k: int = 1) -> Field:
-    """Construction cache; Field instances are immutable and shareable."""
+def _field(p: int, k: int) -> Field:
     return Field(p, k)
+
+
+def get_field(p: int, k: int = 1) -> Field:
+    """Construction cache; Field instances are immutable and shareable.
+
+    The cache is keyed on (p, k) as given here, so get_field(7),
+    get_field(7, 1) and get_field(7, k=1) are one Field.
+    """
+    return _field(p, k)
+
+
+get_field.cache_info = _field.cache_info
 
 
 # -- module-level convenience aliases -------------------------------------

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import kernels
-from .charsum import CharSpec, gauss_sum, ik_formula_scaled
+from .charsum import CharSpec, gauss_sum, scaled_ik_at_p
 from .cyclo import CycInt
 from .errors import (
     DegenerateIndex,
@@ -195,9 +195,8 @@ def zeta_p_padic(p: int, prec: int) -> PadicElt:
 
 @lru_cache(maxsize=None)
 def _embed_table(p: int, prec: int):
-    """Products zeta_p^alpha * teich(g)^beta indexed by exponents of
-    zeta_{p(p-1)}, via the canonical CRT split."""
-    big_m = p * (p - 1)
+    """The powers zeta_p^alpha (alpha < p) and T^beta (beta < p-1), T the
+    Teichmuller lift of the canonical generator of F_p^*."""
     g = get_field(p).generator.coeffs[0] if p > 2 else 1
     z = zeta_p_padic(p, prec)
     t = teichmuller(p, g, prec)
@@ -207,32 +206,41 @@ def _embed_table(p: int, prec: int):
     tpow = [PadicElt.one(p, prec)]
     for _ in range(max(p - 2, 0)):
         tpow.append(tpow[-1] * t)
-    a_mul = pow(p - 1, -1, p)
-    b_mul = pow(p, -1, p - 1) if p > 2 else 0
-    table = []
-    for e in range(big_m):
-        alpha = (e * a_mul) % p
-        beta = (e * b_mul) % (p - 1)
-        table.append(zpow[alpha] * tpow[beta])
-    return tuple(table)
+    return tuple(zpow), tuple(tpow)
 
 
 def embed_cyclotomic(z: CycInt, p: int, prec: int) -> PadicElt:
     """Map Z[zeta_m], m | p(p-1), into Z_p[pi]/(pi^prec).
 
     zeta_p goes to the pinned p-adic root of unity, zeta_{p-1} to the
-    Teichmuller lift of the canonical generator of F_p^*.
+    Teichmuller lift T of the canonical generator of F_p^*. Coefficients
+    are grouped by the CRT split e -> (alpha, beta) of the exponent; each
+    row sum_alpha c * zeta_p^alpha is accumulated as raw digits,
+    normalised once and multiplied by T^beta (a conductor-p value has only
+    the row beta = 0 and needs no product).
     """
     big_m = p * (p - 1)
     if big_m % z.m != 0:
         raise UnsupportedConductor(f"conductor {z.m} does not divide {big_m}")
     step = big_m // z.m
-    table = _embed_table(p, prec)
-    out = PadicElt.zero(p, prec)
+    zpow, tpow = _embed_table(p, prec)
+    a_mul = pow(p - 1, -1, p)
+    b_mul = pow(p, -1, p - 1) if p > 2 else 0
+    rows: dict[int, list[int]] = {}
     for e, c in enumerate(z.coeffs):
         if c:
-            out = out + table[(e * step) % big_m] * c
-    return out
+            exp = e * step
+            row = rows.setdefault((exp * b_mul) % (p - 1), [0] * prec)
+            for i, d in enumerate(zpow[(exp * a_mul) % p].digits):
+                if d:
+                    row[i] += c * d
+    out = None
+    for beta, raw in rows.items():
+        term = PadicElt(p, prec, raw)
+        if beta:
+            term = term * tpow[beta]
+        out = term if out is None else out + term
+    return PadicElt.zero(p, prec) if out is None else out
 
 
 def sigma_digit_sum(m: int, p: int) -> int:
@@ -289,16 +297,14 @@ class CaseReport:
 
 @lru_cache(maxsize=4096)
 def _embedded_scaled_ik(p: int, n: int, b: int, prec: int) -> PadicElt:
-    F = get_field(p)
-    return embed_cyclotomic(ik_formula_scaled(F, n, F.elt(b)).value, p, prec)
+    # the conductor-p value: a single embedding row, one normalisation
+    return embed_cyclotomic(scaled_ik_at_p(get_field(p), n, b), p, prec)
 
 
 def _exact_difference_zero(p, n, b, a):
     F = get_field(p)
     b2 = (b * pow(a, -(n + 1), p)) % p
-    lhs = ik_formula_scaled(F, n, F.elt(b)).value
-    rhs = ik_formula_scaled(F, n, F.elt(b2)).value
-    return lhs == rhs
+    return scaled_ik_at_p(F, n, b) == scaled_ik_at_p(F, n, b2)
 
 
 def case_analysis(p: int, n: int, b: int, a: int, prec: int | None = None) -> CaseReport:

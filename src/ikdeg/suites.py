@@ -10,7 +10,7 @@ from math import gcd
 
 from .charsum import bounds_check, ik_formula_scaled, inverted_kloosterman_brute
 from .cyclo import change_conductor
-from .errors import InvalidParameters
+from .errors import BudgetExceeded, InvalidParameters
 from .ff import get_field, is_prime
 from .galois import ik_degree
 from .padic import case_analysis, run_case_analysis, stickelberger_check
@@ -39,6 +39,8 @@ def identity_suite(p=None, n=None, budget=2_000_000):
     for pp in primes:
         if not is_prime(pp):
             raise InvalidParameters(f"{pp} is not prime")
+    if all((pp - 1) ** nn > budget for pp in primes for nn in ns):
+        raise BudgetExceeded(f"budget {budget} skips every identity case")
     lines = []
     ok = True
     for pp in primes:

@@ -93,6 +93,9 @@ def test_scaled_ik_at_p_conductor():
     z = scaled_ik_at_p(F, 1, F.one)
     assert z.m == 5
     assert 20 * inverted_kloosterman_brute(F, 1, F.one).value == z
+    # memoised per (n, b) on the field
+    assert scaled_ik_at_p(F, 1, 1) is z
+    assert scaled_ik_at_p(F, 2, 1) is not z
 
 
 def test_s1_identity():

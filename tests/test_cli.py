@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,34 @@ def test_verify_identity_single(capsys):
     code, out, _ = run_cli(capsys, "verify", "identity", "--p", "5", "--n", "1")
     assert code == 0
     assert "identity p=5 n=1: ok" in out
+
+
+def test_verify_identity_budget_skipping_everything_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "identity", "--budget", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget 0 skips every identity case\n"
+
+
+def test_verify_identity_partial_budget_skip(capsys):
+    code, out, _ = run_cli(capsys, "verify", "identity", "--p", "13", "--budget", "100")
+    assert code == 0
+    assert out.splitlines() == [
+        "identity p=13 n=1: ok (12 values of b)",
+        "identity p=13 n=2: skipped (budget)",
+        "identity p=13 n=3: skipped (budget)",
+    ]
+
+
+def test_python_dash_m_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ikdeg", "sum", "--p", "5", "--n", "1", "--b", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "degree(20*IK) = 2" in proc.stdout
 
 
 def test_verify_stickelberger_single(capsys):

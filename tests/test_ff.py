@@ -17,6 +17,12 @@ def test_prime_field_arithmetic():
     assert (F.elt(1) - F.elt(3)).coeffs == (3,)
 
 
+def test_one_field_object_per_field():
+    assert get_field(7) is get_field(7, 1) is get_field(7, k=1)
+    assert get_field(3, 2) is get_field(3, k=2)
+    assert get_field(3, 2) is not get_field(3)
+
+
 def test_extension_field_reduction():
     F4 = get_field(2, 2)  # F_2[t]/(t^2 + t + 1)
     assert F4.modulus.coeffs == (1, 1, 1)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,10 @@ from ikdeg import (
     case_analysis,
     default_precision,
     embed_cyclotomic,
+    get_field,
+    ik_formula_scaled,
     run_case_analysis,
+    scaled_ik_at_p,
     stickelberger_check,
     teichmuller,
     valuation_formulas,
@@ -93,6 +97,55 @@ def test_embed_cyclotomic_is_ring_map():
     assert embed_cyclotomic(CycInt.zeta(p), p, prec) == zeta_p_padic(p, prec)
     with pytest.raises(UnsupportedConductor):
         embed_cyclotomic(CycInt.zeta(4), 7, prec)
+
+
+def _per_term_embedding(z, p, prec):
+    """Oracle: one PadicElt per nonzero coefficient, c * zeta_p^alpha * T^beta,
+    folded with PadicElt addition."""
+    big_m = p * (p - 1)
+    step = big_m // z.m
+    g = get_field(p).generator.coeffs[0] if p > 2 else 1
+    zeta, t = zeta_p_padic(p, prec), teichmuller(p, g, prec)
+    a_mul = pow(p - 1, -1, p)
+    b_mul = pow(p, -1, p - 1) if p > 2 else 0
+    out = PadicElt.zero(p, prec)
+    for e, c in enumerate(z.coeffs):
+        if c:
+            exp = e * step
+            term = zeta ** ((exp * a_mul) % p) * t ** ((exp * b_mul) % (p - 1))
+            out = out + term * c
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_embed_matches_per_term_oracle(p):
+    rng = random.Random(p)
+    for prec in (2 * (p - 1), default_precision(p)):
+        for m in (1, p, p - 1, p * (p - 1)):
+            for bits in (3, 64, 200):
+                coeffs = [
+                    rng.randint(-(2**bits), 2**bits) if rng.random() < 0.6 else 0
+                    for _ in range(m)
+                ]
+                z = CycInt(m, coeffs)
+                assert embed_cyclotomic(z, p, prec) == _per_term_embedding(z, p, prec)
+        assert embed_cyclotomic(CycInt.zero(p), p, prec) == PadicElt.zero(p, prec)
+
+
+def test_embed_at_conductor_p_equals_embed_at_p_times_q1():
+    # The two representatives differ by a multiple of Phi_p(zeta_p), and the
+    # truncated root of unity z has z^p = 1 mod pi^prec, so Phi_p(z) = 0 only
+    # mod pi^(prec-1): the embeddings agree in every digit below the top one.
+    for p, n, b in ((5, 1, 2), (7, 1, 3), (7, 5, 1), (11, 2, 4), (13, 3, 6), (3, 6, 2)):
+        F = get_field(p)
+        wide = ik_formula_scaled(F, n, b).value
+        assert wide.m == p * (p - 1)
+        z_p = scaled_ik_at_p(F, n, b)
+        assert z_p.m == p
+        for prec in (2 * (p - 1), default_precision(p)):
+            lhs = embed_cyclotomic(wide, p, prec).digits
+            rhs = embed_cyclotomic(z_p, p, prec).digits
+            assert lhs[: prec - 1] == rhs[: prec - 1]
 
 
 def test_embed_kills_cyclotomic_relation():
