@@ -252,14 +252,12 @@ class BoundReport:
         return max(e.bound2_lhs for e in self.embeddings)
 
 
-def bounds_check(F: Field, n: int, b, value: SumValue | None = None) -> BoundReport:
+def bounds_check(F: Field, n: int, b) -> BoundReport:
     """Numeric check of both estimates at every complex embedding."""
     b = F.elt(b)
     if b.is_zero():
         raise ZeroParameter("parameter b must be nonzero")
-    if value is None:
-        value = ik_formula_scaled(F, n, b)
-    z = value.value if value.value.m == F.p else lower_conductor(value.value, F.p)
+    z = scaled_ik_at_p(F, n, b)
     q = F.q
     second = (n + 1) % F.p != 0
     rhs1 = float(q) ** ((n + 1) / 2)
@@ -269,7 +267,7 @@ def bounds_check(F: Field, n: int, b, value: SumValue | None = None) -> BoundRep
     rows = []
     for j in range(1, F.p) if F.p > 2 else [1]:
         c, _err = embed_complex(z, j)
-        ik = c / value.scale
+        ik = c / (q * (q - 1))
         lhs1 = abs(ik + shift1)
         lhs2 = abs(ik + shift2) if second else None
         rows.append(

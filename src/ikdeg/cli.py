@@ -13,14 +13,14 @@ from math import gcd
 
 from . import suites
 from .charsum import (
-    SumValue,
+    DEFAULT_BUDGET,
     bounds_check,
     ik_formula_scaled,
     inverted_kloosterman_brute,
     scaled_ik_at_p,
 )
 from .cyclo import embed_complex, lower_conductor
-from .errors import BudgetExceeded, IKDegError, InvalidParameters, PrecisionTooLow
+from .errors import BudgetExceeded, IKDegError, InvalidParameters
 from .ff import Field, get_field, is_prime
 from .galois import degree_of, min_poly
 from .padic import run_case_analysis
@@ -80,15 +80,11 @@ def census_record(F: Field, n: int, b) -> CensusRecord:
     degree = degree_of(z_p)
     bound = (p - 1) // gcd(n + 1, p - 1)
     matches = (degree == bound) if F.k == 1 else "n/a"
-    report = bounds_check(F, n, b, SumValue(z_p, F.q * (F.q - 1)))
+    report = bounds_check(F, n, b)
     case_label, pred, obs = "", None, None
     if F.k == 1:
-        if (n + 1) % (p - 1 if p > 2 else 1) == 0 or p == 2:
-            case_label = "trivial"
-        else:
-            rep = run_case_analysis(p, n, b.coeffs[0], F.generator.coeffs[0])
-            case_label = rep.case_label
-            pred, obs = rep.predicted_valuation, rep.observed_valuation
+        rep = run_case_analysis(p, n, b.coeffs[0], F.generator.coeffs[0])
+        case_label, pred, obs = rep.case_label, rep.predicted_valuation, rep.observed_valuation
     return CensusRecord(
         p=p,
         k_ext=F.k,
@@ -168,16 +164,13 @@ def cmd_verify(args) -> int:
         n_max = _first(args.n, args.n_max, suites.DEGREE_N_MAX)
         ok, lines = suites.degree_suite(p_max, n_max)
     elif args.suite == "stickelberger":
-        primes = (
-            (args.p,)
-            if args.p is not None
-            else tuple(q for q in suites.STICKELBERGER_PRIMES if q <= _first(args.p_max, 19))
-        )
-        ok, lines = suites.stickelberger_suite(primes, args.precision)
+        p_max = _first(args.p_max, suites.STICKELBERGER_PRIMES[-1])
+        primes = [q for q in suites.STICKELBERGER_PRIMES if q <= p_max]
+        ok, lines = suites.stickelberger_suite(primes if args.p is None else [args.p])
     elif args.suite == "cases":
-        ok, lines = suites.cases_suite(args.precision)
+        ok, lines = suites.cases_suite()
     else:  # bounds
-        ok, lines = suites.bounds_suite(budget=args.budget)
+        ok, lines = suites.bounds_suite()
     if not lines:
         raise InvalidParameters("empty parameter range")
     for line in lines:
@@ -248,51 +241,66 @@ def cmd_sum(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exact option names only; main() prints a parse error as one line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise InvalidParameters(" ".join(message.splitlines()))
+
+
+def _int_options(parser, flags: str):
+    for flag in flags.split():
+        parser.add_argument(flag, type=int, default=DEFAULT_BUDGET if flag == "--budget" else None)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="ikdeg", description=__doc__)
+    ap = _Parser(prog="ikdeg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int)
-    common.add_argument("--p-max", type=int, dest="p_max")
-    common.add_argument("--k", type=int)
-    common.add_argument("--n", type=int)
-    common.add_argument("--n-max", type=int, dest="n_max")
-    common.add_argument("--b", type=str)
-    common.add_argument("--budget", type=int, default=2_000_000)
-    common.add_argument("--precision", type=int)
-    common.add_argument("--format", choices=["csv", "json", "table"], default="csv")
-    common.add_argument("--out", type=str)
-
-    pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    pv.add_argument(
-        "suite", choices=["identity", "degree", "stickelberger", "cases", "bounds", "all"]
-    )
+    pv = sub.add_parser("verify", help="run a verification suite")
     pv.set_defaults(func=cmd_verify)
+    suite = pv.add_subparsers(dest="suite", required=True)  # each reads only its own options
+    for name, flags in (
+        ("identity", "--p --n --budget"),
+        ("degree", "--p --p-max --n --n-max"),
+        ("stickelberger", "--p --p-max"),
+        ("cases", ""),
+        ("bounds", ""),
+        ("all", ""),
+    ):
+        _int_options(suite.add_parser(name), flags)
 
-    pc = sub.add_parser("census", parents=[common], help="parameter-sweep census")
+    pc = sub.add_parser("census", help="parameter-sweep census")
+    _int_options(pc, "--p --p-max --k --n --n-max")
+    pc.add_argument("--format", choices=["csv", "json", "table"], default="csv")
+    pc.add_argument("--out", type=str)
     pc.set_defaults(func=cmd_census)
 
-    ps = sub.add_parser("sum", parents=[common], help="one inverted Kloosterman sum")
+    ps = sub.add_parser("sum", help="one inverted Kloosterman sum")
+    _int_options(ps, "--p --k --n --budget")
+    ps.add_argument("--b", type=str)
     ps.add_argument("--path", choices=["brute", "formula", "both"], default="formula")
     ps.set_defaults(func=cmd_sum)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "sum":
             if args.p is None or args.n is None or args.b is None:
                 raise InvalidParameters("sum needs --p, --n, and --b")
         if args.command == "census" and args.p is None:
             raise InvalidParameters("census needs --p")
         for name in ("k", "n", "n_max"):
-            value = getattr(args, name)
+            value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise InvalidParameters(f"--{name.replace('_', '-')} must be >= 1")
         return args.func(args)
-    except (InvalidParameters, BudgetExceeded, PrecisionTooLow) as exc:
+    except (InvalidParameters, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

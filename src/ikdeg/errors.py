@@ -54,7 +54,7 @@ class PrecisionTooLow(IKDegError):
 
 
 class PrecisionExhausted(IKDegError):
-    """All pi-adic digits below the truncation order vanished."""
+    """No nonzero pi-adic digit lies below the certified truncation order."""
 
 
 class UnsupportedConductor(IKDegError):

@@ -243,6 +243,15 @@ def embed_cyclotomic(z: CycInt, p: int, prec: int) -> PadicElt:
     return PadicElt.zero(p, prec) if out is None else out
 
 
+def _certified_valuation(x: PadicElt) -> int:
+    # zeta_p_padic(p, prec) is exact only mod pi^(prec-p+1): higher digits are uncertified
+    exact = x.prec - x.p + 1
+    v = x.pi_valuation
+    if v is None or v >= exact:
+        raise PrecisionExhausted(f"no nonzero digit below {exact} (prec {x.prec})")
+    return v
+
+
 def sigma_digit_sum(m: int, p: int) -> int:
     s = 0
     while m:
@@ -261,9 +270,7 @@ def stickelberger_check(p: int, m: int, prec: int | None = None):
     if prec is None:
         prec = default_precision(p)
     g = gauss_sum(CharSpec(get_field(p), m))
-    observed = embed_cyclotomic(g, p, prec).pi_valuation
-    if observed is None:
-        raise PrecisionExhausted(f"all digits below {prec} vanish")
+    observed = _certified_valuation(embed_cyclotomic(g, p, prec))
     predicted = sigma_digit_sum(m, p)
     return predicted, observed, predicted == observed
 
@@ -355,9 +362,7 @@ def case_analysis(p: int, n: int, b: int, a: int, prec: int | None = None) -> Ca
     b2 = (b * pow(a, -(n + 1), p)) % p
     # the embedding is a ring map, so embed each conjugate once and subtract
     diff = _embedded_scaled_ik(p, n, b, prec) - _embedded_scaled_ik(p, n, b2, prec)
-    observed = diff.pi_valuation
-    if observed is None:
-        raise PrecisionExhausted(f"all digits below {prec} vanish")
+    observed = _certified_valuation(diff)
     return CaseReport(
         p, n, b, a, label, h, k, m_star, predicted, observed, boundary, observed == predicted
     )

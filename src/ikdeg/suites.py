@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from math import gcd
 
-from .charsum import bounds_check, ik_formula_scaled, inverted_kloosterman_brute
+from .charsum import DEFAULT_BUDGET, bounds_check, ik_formula_scaled, inverted_kloosterman_brute
 from .cyclo import change_conductor
 from .errors import BudgetExceeded, InvalidParameters
 from .ff import get_field, is_prime
 from .galois import ik_degree
-from .padic import case_analysis, run_case_analysis, stickelberger_check
+from .padic import run_case_analysis, stickelberger_check
 
 IDENTITY_PRIMES = (3, 5, 7, 11, 13)
 IDENTITY_NS = (1, 2, 3)
@@ -32,7 +32,7 @@ def _primes_upto(n):
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 
-def identity_suite(p=None, n=None, budget=2_000_000):
+def identity_suite(p=None, n=None, budget=DEFAULT_BUDGET):
     """Oracle equivalence: q(q-1) * brute == formula, exact."""
     primes = list(IDENTITY_PRIMES) if p is None else [p]
     ns = list(IDENTITY_NS) if n is None else [n]
@@ -103,14 +103,14 @@ def divisibility_suite(fields=EXTENSION_FIELDS, ns=EXTENSION_NS):
     return ok, lines
 
 
-def bounds_suite(slack=BOUND_SLACK, budget=2_000_000):
+def bounds_suite(slack=BOUND_SLACK):
     """Both estimates hold at every embedding for every sum in the
     identity, degree, and divisibility grids."""
     ok = True
     lines = []
     grids = []
     for p in IDENTITY_PRIMES:
-        grids.extend((p, 1, n) for n in IDENTITY_NS if (p - 1) ** n <= budget)
+        grids.extend((p, 1, n) for n in IDENTITY_NS)
     for p in _primes_upto(DEGREE_P_MAX):
         grids.extend((p, 1, n) for n in range(1, DEGREE_N_MAX + 1))
     for p, k in EXTENSION_FIELDS:
@@ -119,7 +119,7 @@ def bounds_suite(slack=BOUND_SLACK, budget=2_000_000):
     for p, k, n in grids:
         F = get_field(p, k)
         for b in F.units():
-            report = bounds_check(F, n, b, ik_formula_scaled(F, n, b))
+            report = bounds_check(F, n, b)
             checked += 1
             if not report.ok(slack):
                 ok = False
@@ -128,7 +128,7 @@ def bounds_suite(slack=BOUND_SLACK, budget=2_000_000):
     return ok, lines
 
 
-def stickelberger_suite(primes=STICKELBERGER_PRIMES, prec=None):
+def stickelberger_suite(primes=STICKELBERGER_PRIMES):
     """v_pi(G(omega^-m)) == m for 0 <= m <= p-2."""
     ok = True
     lines = []
@@ -137,7 +137,7 @@ def stickelberger_suite(primes=STICKELBERGER_PRIMES, prec=None):
             raise InvalidParameters(f"{p} is not prime")
         bad = []
         for m in range(p - 1):
-            predicted, observed, good = stickelberger_check(p, m, prec)
+            predicted, observed, good = stickelberger_check(p, m)
             if not good:
                 bad.append((m, predicted, observed))
         if bad:
@@ -148,7 +148,7 @@ def stickelberger_suite(primes=STICKELBERGER_PRIMES, prec=None):
     return ok, lines
 
 
-def cases_suite(prec=None):
+def cases_suite():
     """Main-term valuations for Cases I/II/III, plus exact-zero stabilized
     differences."""
     ok = True
@@ -160,10 +160,7 @@ def cases_suite(prec=None):
             count = 0
             for a in range(1, p):
                 for b in range(1, p):
-                    if prec is None:
-                        rep = run_case_analysis(p, n, b, a)
-                    else:
-                        rep = case_analysis(p, n, b, a, prec)
+                    rep = run_case_analysis(p, n, b, a)
                     if pow(a, g1, p) == 1:
                         if rep.case_label != "stabilized" or not rep.ok:
                             bad.append((a, b, "stabilized", rep.ok))
@@ -181,20 +178,12 @@ def cases_suite(prec=None):
     return ok, lines
 
 
-SUITES = {
-    "identity": identity_suite,
-    "degree": degree_suite,
-    "stickelberger": stickelberger_suite,
-    "cases": cases_suite,
-    "bounds": bounds_suite,
-}
-
-
 def run_all():
     ok = True
     lines = []
-    for name in ("identity", "degree", "stickelberger", "cases", "bounds"):
-        good, sub = SUITES[name]()
+    for suite in (identity_suite, degree_suite, divisibility_suite,
+                  stickelberger_suite, cases_suite, bounds_suite):
+        good, sub = suite()
         ok = ok and good
         lines.extend(sub)
     lines.append(f"all suites: {'ok' if ok else 'FAIL'}")

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ikdeg.cli import CSV_FIELDS, main
+from ikdeg.cli import CSV_FIELDS, build_parser, main
+from ikdeg.errors import InvalidParameters
 
 
 def run_cli(capsys, *argv):
@@ -194,3 +200,128 @@ def test_invalid_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# The options each command or verify suite reads; every other option must be
+# rejected at parse time.
+READS = {
+    ("census",): ("--p", "--p-max", "--k", "--n", "--n-max", "--format", "--out"),
+    ("sum",): ("--p", "--k", "--n", "--b", "--budget", "--path"),
+    ("verify", "identity"): ("--p", "--n", "--budget"),
+    ("verify", "degree"): ("--p", "--p-max", "--n", "--n-max"),
+    ("verify", "stickelberger"): ("--p", "--p-max"),
+    ("verify", "cases"): (),
+    ("verify", "bounds"): (),
+    ("verify", "all"): (),
+}
+# A well-formed value for every option any command ever took.
+VALUES = {
+    "--p": "5", "--p-max": "7", "--k": "1", "--n": "1", "--n-max": "2", "--b": "1",
+    "--budget": "100", "--precision": "40", "--format": "csv", "--out": "x.csv",
+    "--path": "both",
+}
+INT_FLAGS = ("--p", "--p-max", "--k", "--n", "--n-max", "--budget", "--precision")
+CHOICES = {
+    ("census",): ("--format", ("csv", "json", "table")),
+    ("sum",): ("--path", ("brute", "formula", "both")),
+}
+SUITES = tuple(c[1] for c in READS if c[0] == "verify")
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def accepts(command, flag):
+    try:
+        build_parser().parse_args([*command, flag, VALUES[flag]])
+    except InvalidParameters:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c, reads in READS.items() for f in VALUES if f not in reads],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_unread_option_exits_2(command, flag):
+    code, out, err = run_main([*command, flag, VALUES[flag]])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unrecognized arguments: {flag} {VALUES[flag]}\n"
+
+
+def test_each_command_accepts_exactly_what_it_reads():
+    for command, reads in READS.items():
+        assert {f for f in VALUES if accepts(command, f)} == set(reads), command
+    assert sum(map(len, READS.values())) == 22
+
+
+def _not_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# any argument text but the help flags, which print help and exit 0
+arg_text = st.text(max_size=8).filter(lambda v: v not in ("-h", "--help"))
+
+
+@st.composite
+def rejected_argv(draw):
+    """A command plus one defect: an option it does not read (named or
+    invented), a non-integer value for an integer option, or a bad choice."""
+    command = draw(st.sampled_from(sorted(READS)))
+    reads = READS[command]
+    int_flags = [f for f in reads if f in INT_FLAGS]
+    kinds = ["foreign"] + ["type"] * bool(int_flags)
+    kinds += ["choice"] * (command in CHOICES or command[0] == "verify")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "foreign":
+        named = st.sampled_from([f for f in VALUES if f not in reads])
+        invented = st.from_regex(r"--[a-z][a-z-]{0,10}", fullmatch=True)
+        flag = draw((named | invented).filter(lambda f: f not in reads and f != "--help"))
+        return [*command, flag, draw(arg_text)]
+    if kind == "type":
+        return [*command, draw(st.sampled_from(int_flags)), draw(arg_text.filter(_not_int))]
+    if command[0] == "verify":
+        return ["verify", draw(arg_text.filter(lambda v: v not in SUITES))]
+    flag, choices = CHOICES[command]
+    return [*command, flag, draw(arg_text.filter(lambda v: v not in choices))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rejected_argv())
+def test_foreign_flag_bad_type_or_bad_choice_exits_2(argv):
+    code, out, err = run_main(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _readme_cli_section():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_lines_parse():
+    section = _readme_cli_section()
+    blocks = re.findall(r"```sh\n(.*?)```", section, flags=re.S)
+    lines = [ln.split("#", 1)[0] for block in blocks for ln in block.splitlines() if "ikdeg " in ln]
+    assert len(lines) >= 7
+    for line in lines:
+        build_parser().parse_args(shlex.split(line.split("ikdeg ", 1)[1]))
+
+
+def test_readme_option_table_matches_parser():
+    rows = re.findall(r"^\| `([a-z ]+)` \| (.*) \|$", _readme_cli_section(), flags=re.M)
+    assert {tuple(cmd.split()) for cmd, _ in rows} == set(READS)
+    for cmd, options in rows:
+        named = set(re.findall(r"--[a-z-]+", options))
+        assert named == {f for f in VALUES if accepts(tuple(cmd.split()), f)}, cmd

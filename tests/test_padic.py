@@ -21,6 +21,7 @@ from ikdeg import (
 from ikdeg.errors import (
     DegenerateIndex,
     InvalidParameters,
+    PrecisionExhausted,
     PrecisionMismatch,
     PrecisionTooLow,
     UnsupportedConductor,
@@ -216,6 +217,16 @@ def test_case_guards():
         case_analysis(7, 1, 1, 7)
     with pytest.raises(InvalidParameters):
         case_analysis(6, 1, 1, 1)
+
+
+def test_valuation_only_from_certified_digits():
+    # zeta_p_padic(7, prec) is exact only mod pi^(prec-6): at prec 12 the
+    # first nonzero digit (index 8) is not certified, at prec 15 it is
+    for prec in (12, 14):
+        with pytest.raises(PrecisionExhausted):
+            case_analysis(7, 1, 1, 2, prec=prec)
+    assert case_analysis(7, 1, 1, 2, prec=15).observed_valuation == 8
+    assert run_case_analysis(7, 1, 1, 2).observed_valuation == 8
 
 
 def test_explicit_precision_agrees_with_default():
