@@ -9,6 +9,7 @@ form so that everything stays inside a ring with decidable equality.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .cyclo import CycInt, lower_conductor, embed_complex
@@ -143,24 +144,45 @@ def inverted_kloosterman_brute(
     return SumValue(CycInt(F.p, counts), 1)
 
 
+def _relabel(z: CycInt, p: int, s: int) -> CycInt:
+    """rho_s on Z[zeta_{p(q-1)}]: zeta_{q-1} -> zeta_{q-1}^s, zeta_p fixed.
+
+    On exponents it is e -> k*e mod p(q-1), with k = s mod q-1 and
+    k = 1 mod p. It is a ring endomorphism of the group ring
+    Z[x]/(x^(p(q-1)) - 1) for every s, even when gcd(s, q-1) > 1:
+    exponents that collide just add their coefficients.
+    """
+    big_m = z.m
+    q1 = big_m // p
+    k = 1 + p * ((s - 1) * pow(p, -1, q1) % q1)
+    out = [0] * big_m
+    for e, c in enumerate(z.coeffs):
+        if c:
+            out[k * e % big_m] += c
+    return CycInt(big_m, out)
+
+
 def _character_terms(F: Field, n: int) -> list[CycInt]:
     """Per-character b-independent factors of the scaled Gauss-sum formula.
 
     Entry m-1 holds chi^(n+1)(-1) * G(chi^-(n+1))^2 * G(chi)^(n+1) for
-    chi = omega^(-m), m = 1 .. q-2, at conductor p(q-1).
+    chi = omega^(-m), m = 1 .. q-2, at conductor p(q-1). Term m is the
+    image of term 1 under rho_m (see _relabel), since
+    G(omega^(-m)) = rho_m(G(omega^(-1))) and rho_m rho_s = rho_(ms): one
+    Gauss sum and one product are built, and every term relabels the
+    exponents of the first.
     """
     key = ("ikterms", n)
     cached = F._cache.get(key)
     if cached is not None:
         return cached
     p, q1 = F.p, F.q - 1
-    dneg1 = F.dlog(F.elt(-1)) if F.q > 2 else 0
     terms = []
-    for m in range(1, q1):
-        g_pow = gauss_sum(CharSpec(F, m)) ** (n + 1)
-        g_sq = gauss_sum(CharSpec(F, (-m * (n + 1)) % q1))
-        sign_exp = p * ((-m * (n + 1) * dneg1) % q1)  # chi^(n+1)(-1)
-        terms.append(((g_sq * g_sq) * g_pow).shifted(sign_exp))
+    if q1 > 1:
+        g = gauss_sum(CharSpec(F, 1))
+        base = _relabel(g * g, p, -(n + 1)) * g ** (n + 1)
+        base = base.shifted(p * ((-(n + 1) * F.dlog(F.elt(-1))) % q1))  # chi^(n+1)(-1)
+        terms = [_relabel(base, p, m) for m in range(1, q1)]
     F._cache[key] = terms
     return terms
 
@@ -172,15 +194,16 @@ def ik_formula_scaled(F: Field, n: int, b) -> SumValue:
     b = F.elt(b)
     if b.is_zero():
         raise ZeroParameter("parameter b must be nonzero")
-    q, q1 = F.q, F.q - 1
-    big_m = F.p * q1
-    total = CycInt.from_int(big_m, -(q1 ** (n + 1)) + (-1) ** (n + 1))
+    p, q, q1 = F.p, F.q, F.q - 1
+    total = [0] * (p * q1)
+    total[0] = -(q1 ** (n + 1)) + (-1) ** (n + 1)
     if q > 2:
         db = F.dlog(b)
         for m, term in enumerate(_character_terms(F, n), start=1):
-            # chi^(-1)(b) = zeta_{q-1}^(m * dlog b)
-            total = total + term.shifted(F.p * ((m * db) % q1))
-    return SumValue(total, q * q1)
+            # chi^(-1)(b) = zeta_{q-1}^(m * dlog b): rotate by e into the sum
+            e, c = p * ((m * db) % q1), term.coeffs
+            total = list(map(operator.add, total, c[-e:] + c[:-e]))
+    return SumValue(CycInt(p * q1, total), q * q1)
 
 
 def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:

@@ -252,8 +252,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_options(parser, flags: str):
-    for flag in flags.split():
-        parser.add_argument(flag, type=int, default=DEFAULT_BUDGET if flag == "--budget" else None)
+    """Integer options; a pair joined by "|" excludes each other."""
+    for option in flags.split():
+        group = parser.add_mutually_exclusive_group() if "|" in option else parser
+        for flag in option.split("|"):
+            group.add_argument(flag, type=int, default=DEFAULT_BUDGET if flag == "--budget" else None)
 
 
 def build_parser():
@@ -265,8 +268,8 @@ def build_parser():
     suite = pv.add_subparsers(dest="suite", required=True)  # each reads only its own options
     for name, flags in (
         ("identity", "--p --n --budget"),
-        ("degree", "--p --p-max --n --n-max"),
-        ("stickelberger", "--p --p-max"),
+        ("degree", "--p|--p-max --n|--n-max"),  # --p and --n are maxima
+        ("stickelberger", "--p|--p-max"),
         ("cases", ""),
         ("bounds", ""),
         ("all", ""),

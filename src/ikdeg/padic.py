@@ -153,6 +153,10 @@ class PadicElt:
 @lru_cache(maxsize=None)
 def teichmuller(p: int, a: int, prec: int) -> PadicElt:
     """The (p-1)-th root of unity congruent to a mod pi (x <- x^p iteration)."""
+    if not is_prime(p):
+        raise InvalidParameters(f"{p} is not prime")
+    if prec < 1:
+        raise PrecisionTooLow("need at least 1 digit")
     if a % p == 0:
         raise ZeroParameter("Teichmuller lift of zero is undefined")
     x = PadicElt.from_int(p, prec, a % p)
@@ -168,9 +172,12 @@ def teichmuller(p: int, a: int, prec: int) -> PadicElt:
 def zeta_p_padic(p: int, prec: int) -> PadicElt:
     """The p-th root of unity with zeta - 1 = pi mod pi^2.
 
-    Lifted digit by digit: adding c*pi^k perturbs zeta^p - 1 at level
-    pi^(p-1+k) with unit coefficient -c (classic Newton fails here since
-    the derivative is not a unit).
+    Lifted by Newton's step z <- z - r/(p z^(p-1)) = z + z*r/pi^(p-1),
+    r = z^p - 1 (p = -pi^(p-1), and z^p = 1 to first order), which
+    roughly doubles the number of correct digits. Dividing r by pi^(p-1)
+    is a shift of its digits, exact below pi^(prec-p+1): the digits the
+    result certifies (any z with z^p = 1 mod pi^prec is pinned only mod
+    pi^(prec-p+1)).
     """
     if not is_prime(p):
         raise InvalidParameters(f"{p} is not prime")
@@ -178,14 +185,13 @@ def zeta_p_padic(p: int, prec: int) -> PadicElt:
         raise PrecisionTooLow("need at least 2(p-1) digits")
     one = PadicElt.one(p, prec)
     z = one + PadicElt.monomial(p, prec, 1)
-    for _ in range(2 * prec):
+    for _ in range(prec):
         r = z**p - one
         v = r.pi_valuation
         if v is None:
             break
-        k = v - (p - 1)
-        assert k >= 2, "digit-1 correction should never be needed"
-        z = z + PadicElt.monomial(p, prec, k, r.digits[v])
+        assert v - (p - 1) >= 2, "Newton's step needs z^p = 1 mod pi^(p+1)"
+        z = z + z * PadicElt(p, prec, r.digits[p - 1 :])
     else:
         raise AssertionError("zeta_p lift did not converge")  # unreachable
     assert z**p == one
@@ -327,6 +333,8 @@ def case_analysis(p: int, n: int, b: int, a: int, prec: int | None = None) -> Ca
         raise ZeroParameter("b and a must be units of F_p")
     if prec is None:
         prec = default_precision(p)
+    if prec < 2 * (p - 1):
+        raise PrecisionTooLow("need at least 2(p-1) digits")
 
     g1 = gcd(n + 1, p - 1)
     if (n + 1) % (p - 1) == 0:

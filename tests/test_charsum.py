@@ -15,6 +15,7 @@ from ikdeg import (
     s1_identity_check,
     scaled_ik_at_p,
 )
+from ikdeg.charsum import _character_terms
 from ikdeg.errors import BudgetExceeded, CharAtZero, ZeroParameter
 
 
@@ -130,3 +131,32 @@ def test_bounds_report():
     assert not rep2.second_applicable
     assert rep2.bound2_lhs_max is None
     assert rep2.ok()
+
+
+def _per_character_terms(F, n):
+    """Oracle: every term from its own Gauss-sum powers (the kernel route)."""
+    p, q1 = F.p, F.q - 1
+    dneg1 = F.dlog(F.elt(-1)) if F.q > 2 else 0
+    terms = []
+    for m in range(1, q1):
+        g_pow = gauss_sum(CharSpec(F, m)) ** (n + 1)
+        g_sq = gauss_sum(CharSpec(F, (-m * (n + 1)) % q1))
+        sign_exp = p * ((-m * (n + 1) * dneg1) % q1)  # chi^(n+1)(-1)
+        terms.append(((g_sq * g_sq) * g_pow).shifted(sign_exp))
+    return terms
+
+
+RELABEL_FIELDS = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 19)] + [
+    (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)
+]
+
+
+@pytest.mark.parametrize("p,k", RELABEL_FIELDS)
+def test_character_terms_match_kernel_powers(p, k):
+    F = get_field(p, k)
+    for n in range(1, 9):
+        got = _character_terms(F, n)
+        want = _per_character_terms(F, n)
+        assert len(got) == len(want) == F.q - 2
+        # exact group-ring equality, not only equality mod Phi
+        assert [t.coeffs for t in got] == [t.coeffs for t in want], (F.q, n)

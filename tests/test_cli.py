@@ -202,6 +202,25 @@ def test_invalid_input_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,pair",
+    [
+        (["verify", "stickelberger", "--p", "5", "--p-max", "3"], ("--p-max", "--p")),
+        (["verify", "stickelberger", "--p-max", "3", "--p", "5"], ("--p", "--p-max")),
+        (["verify", "degree", "--p", "5", "--p-max", "3", "--n", "1", "--n-max", "2"], ("--p-max", "--p")),
+        (["verify", "degree", "--p", "5", "--n", "1", "--n-max", "2"], ("--n-max", "--n")),
+        (["verify", "degree", "--n-max", "2", "--n", "1"], ("--n", "--n-max")),
+    ],
+)
+def test_value_and_maximum_together_exits_2(capsys, argv, pair):
+    # --p (--n) is the maximum itself, so giving --p-max (--n-max) as well
+    # would silently drop one of the two
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: argument {pair[0]}: not allowed with argument {pair[1]}\n"
+
+
 # The options each command or verify suite reads; every other option must be
 # rejected at parse time.
 READS = {

@@ -86,6 +86,29 @@ def test_zeta_p_padic():
         zeta_p_padic(6, 40)
 
 
+def _digit_by_digit_zeta(p, prec):
+    """Oracle: lift zeta_p one pi-digit per power; adding c*pi^k moves
+    zeta^p - 1 at level pi^(p-1+k) by the unit coefficient -c."""
+    one = PadicElt.one(p, prec)
+    z = one + PadicElt.monomial(p, prec, 1)
+    while True:
+        r = z**p - one
+        v = r.pi_valuation
+        if v is None:
+            return z
+        z = z + PadicElt.monomial(p, prec, v - (p - 1), r.digits[v])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_zeta_newton_lift_matches_digit_by_digit(p):
+    for prec in (2 * (p - 1), default_precision(p)):
+        z = zeta_p_padic(p, prec)
+        assert z**p == PadicElt.one(p, prec)
+        # only the digits below prec-p+1 are pinned by z^p = 1 mod pi^prec
+        exact = prec - p + 1
+        assert z.digits[:exact] == _digit_by_digit_zeta(p, prec).digits[:exact]
+
+
 def test_embed_cyclotomic_is_ring_map():
     p, prec = 7, default_precision(7)
     m = p * (p - 1)

@@ -18,6 +18,7 @@ from ikdeg import (
     mult_char,
     teichmuller,
 )
+from ikdeg.charsum import _relabel
 
 settings.register_profile("fixed", settings(derandomize=True, max_examples=60, deadline=None))
 settings.load_profile("fixed")
@@ -74,6 +75,30 @@ def test_galois_is_ring_automorphism(m, data):
     y = CycInt(m, data.draw(vec))
     assert galois_apply(x + y, a) == galois_apply(x, a) + galois_apply(y, a)
     assert galois_apply(x * y, a) == galois_apply(x, a) * galois_apply(y, a)
+
+
+# (p, q) for F_q; rho_s acts on the group ring at conductor p(q-1)
+RHO_FIELDS = ((2, 4), (3, 3), (3, 9), (5, 5), (7, 7), (2, 16), (13, 13), (3, 27))
+
+
+@given(st.sampled_from(RHO_FIELDS), st.data())
+def test_relabel_is_multiplicative_and_composes(field, data):
+    p, q = field
+    q1 = q - 1
+    m = p * q1
+    vec = st.lists(small_coeff, min_size=m, max_size=m)
+    x = CycInt(m, data.draw(vec))
+    y = CycInt(m, data.draw(vec))
+    shared = [s for s in range(q1) if math.gcd(s, q1) > 1]  # collide exponents; 0 is one
+    s = data.draw(st.integers(-3 * q1, 3 * q1) | st.sampled_from(shared))
+    t = data.draw(st.integers(-3 * q1, 3 * q1) | st.sampled_from(shared))
+    # exact group-ring identities, coefficient for coefficient
+    assert _relabel(x * y, p, s).coeffs == (_relabel(x, p, s) * _relabel(y, p, s)).coeffs
+    assert _relabel(_relabel(x, p, t), p, s).coeffs == _relabel(x, p, s * t).coeffs
+    assert _relabel(x, p, 1).coeffs == x.coeffs
+    # zeta_p = zeta_m^(q-1) is fixed, zeta_{q-1} = zeta_m^p goes to its s-th power
+    assert _relabel(CycInt.monomial(m, q1), p, s) == CycInt.monomial(m, q1)
+    assert _relabel(CycInt.monomial(m, p), p, s) == CycInt.monomial(m, p * s)
 
 
 @given(st.sampled_from(((3, 15), (5, 15), (4, 20), (7, 21))), st.data())
