@@ -1,18 +1,21 @@
 """Characters, Gauss sums, and Kloosterman sums (classical and inverted).
 
 Two routes to the inverted sum are provided: naive enumeration over
-(q-1)^n tuples, and the exact Gauss-sum formula computed entirely in
-Z[zeta_{p(q-1)}]. Identities involving 1/(q(q-1)) are kept in scaled
-form so that everything stays inside a ring with decidable equality.
+(q-1)^n tuples, and the exact Gauss-sum formula. The formula is a sum
+over characters of relabelled copies rho_m of one term in
+Z[zeta_{p(q-1)}]; `ik_formula_scaled` states it literally, while
+`scaled_ik_at_p` reads its value in Z[zeta_p] off that one term, since
+the sum of rho_m over all m is (q-1) times the zeta_{q-1}-free row.
+Identities involving 1/(q(q-1)) are kept in scaled form so that
+everything stays inside a ring with decidable equality.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
-from .cyclo import CycInt, lower_conductor, embed_complex
+from .cyclo import CycInt, embed_complex
 from .errors import BudgetExceeded, CharAtZero, ZeroParameter
 from .ff import Field, FieldElt
 
@@ -96,12 +99,17 @@ def gauss_sum(c: CharSpec) -> CycInt:
     return g
 
 
-def _enumeration_guard(F: Field, n: int, b, budget: int) -> FieldElt:
+def _check_ik_args(F: Field, n: int, b) -> FieldElt:
     if n < 1:
         raise ZeroParameter("dimension n must be >= 1")
     b = F.elt(b)
     if b.is_zero():
         raise ZeroParameter("parameter b must be nonzero")
+    return b
+
+
+def _enumeration_guard(F: Field, n: int, b, budget: int) -> FieldElt:
+    b = _check_ik_args(F, n, b)
     if (F.q - 1) ** n > budget:
         raise BudgetExceeded(f"(q-1)^n = {(F.q - 1) ** n} exceeds budget {budget}")
     return b
@@ -162,57 +170,66 @@ def _relabel(z: CycInt, p: int, s: int) -> CycInt:
     return CycInt(big_m, out)
 
 
-def _character_terms(F: Field, n: int) -> list[CycInt]:
-    """Per-character b-independent factors of the scaled Gauss-sum formula.
+def _character_terms(F: Field, n: int) -> CycInt:
+    """Term 1, the b-independent factor of the scaled Gauss-sum formula.
 
-    Entry m-1 holds chi^(n+1)(-1) * G(chi^-(n+1))^2 * G(chi)^(n+1) for
-    chi = omega^(-m), m = 1 .. q-2, at conductor p(q-1). Term m is the
-    image of term 1 under rho_m (see _relabel), since
-    G(omega^(-m)) = rho_m(G(omega^(-1))) and rho_m rho_s = rho_(ms): one
-    Gauss sum and one product are built, and every term relabels the
-    exponents of the first.
+    It is chi^(n+1)(-1) * G(chi^-(n+1))^2 * G(chi)^(n+1) for
+    chi = omega^(-1), at conductor p(q-1). The term for omega^(-m) is
+    its image under rho_m (see _relabel), since
+    G(omega^(-m)) = rho_m(G(omega^(-1))) and rho_m rho_s = rho_(ms), so
+    one Gauss sum and one product serve every character.
     """
-    key = ("ikterms", n)
+    key = ("ikterm", n)
     cached = F._cache.get(key)
-    if cached is not None:
-        return cached
-    p, q1 = F.p, F.q - 1
-    terms = []
-    if q1 > 1:
+    if cached is None:
+        p, q1 = F.p, F.q - 1
         g = gauss_sum(CharSpec(F, 1))
-        base = _relabel(g * g, p, -(n + 1)) * g ** (n + 1)
-        base = base.shifted(p * ((-(n + 1) * F.dlog(F.elt(-1))) % q1))  # chi^(n+1)(-1)
-        terms = [_relabel(base, p, m) for m in range(1, q1)]
-    F._cache[key] = terms
-    return terms
+        cached = _relabel(g * g, p, -(n + 1)) * g ** (n + 1)
+        cached = cached.shifted(p * ((-(n + 1) * F.dlog(F.elt(-1))) % q1))  # chi^(n+1)(-1)
+        F._cache[key] = cached
+    return cached
 
 
 def ik_formula_scaled(F: Field, n: int, b) -> SumValue:
-    """q(q-1) * IK_n(q, b), exactly, via the Gauss-sum identity."""
-    if n < 1:
-        raise ZeroParameter("dimension n must be >= 1")
-    b = F.elt(b)
-    if b.is_zero():
-        raise ZeroParameter("parameter b must be nonzero")
+    """q(q-1) * IK_n(q, b), exactly, via the Gauss-sum identity.
+
+    The character omega^(-m) contributes rho_m(T_b), where T_b is term 1
+    times chi^(-1)(b) = zeta_{q-1}^(dlog b).
+    """
+    b = _check_ik_args(F, n, b)
     p, q, q1 = F.p, F.q, F.q - 1
-    total = [0] * (p * q1)
-    total[0] = -(q1 ** (n + 1)) + (-1) ** (n + 1)
-    if q > 2:
-        db = F.dlog(b)
-        for m, term in enumerate(_character_terms(F, n), start=1):
-            # chi^(-1)(b) = zeta_{q-1}^(m * dlog b): rotate by e into the sum
-            e, c = p * ((m * db) % q1), term.coeffs
-            total = list(map(operator.add, total, c[-e:] + c[:-e]))
-    return SumValue(CycInt(p * q1, total), q * q1)
+    t_b = _character_terms(F, n).shifted(p * F.dlog(b))
+    total = CycInt.from_int(p * q1, -(q1 ** (n + 1)) + (-1) ** (n + 1))
+    for m in range(1, q1):
+        total = total + _relabel(t_b, p, m)
+    return SumValue(total, q * q1)
 
 
 def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:
-    """The scaled inverted sum rewritten at conductor p (it lies in Z[zeta_p])."""
-    b = F.elt(b)
+    """q(q-1) * IK_n(q, b) in Z[zeta_p], reduced, read off term 1.
+
+    Summed over m = 0 .. q-2, rho_m(x) is (q-1) times the row of x free of
+    zeta_{q-1}, so the formula's sum over m = 1 .. q-2 is
+    (q-1) * row_0(T_b) - rho_0(T_b). Exponents split by CRT:
+    zeta_{p(q-1)}^e = zeta_p^(e/(q-1) mod p) * zeta_{q-1}^(e/p mod q-1).
+    """
+    b = _check_ik_args(F, n, b)
     key = ("ik_at_p", n, b.coeffs)
     cached = F._cache.get(key)
     if cached is None:
-        cached = lower_conductor(ik_formula_scaled(F, n, b).value, F.p)
+        p, q1 = F.p, F.q - 1
+        big_m = p * q1
+        t = _character_terms(F, n).coeffs
+        a_mul = pow(q1, -1, p)
+        rho0 = [0] * p  # rho_0(T_b) = rho_0(T): zeta_{q-1} -> 1
+        for e, c in enumerate(t):
+            if c:
+                rho0[e * a_mul % p] += c
+        # T_b is free of zeta_{q-1} where T has zeta_{q-1}^(-dlog b)
+        row = p * (-F.dlog(b) % q1)
+        out = [q1 * t[(q1 * a + row) % big_m] - r for a, r in enumerate(rho0)]
+        out[0] += -(q1 ** (n + 1)) + (-1) ** (n + 1)
+        cached = CycInt(p, out).reduced()
         F._cache[key] = cached
     return cached
 

@@ -12,14 +12,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import suites
-from .charsum import (
-    DEFAULT_BUDGET,
-    bounds_check,
-    ik_formula_scaled,
-    inverted_kloosterman_brute,
-    scaled_ik_at_p,
-)
-from .cyclo import embed_complex, lower_conductor
+from .charsum import DEFAULT_BUDGET, bounds_check, inverted_kloosterman_brute, scaled_ik_at_p
+from .cyclo import change_conductor, embed_complex
 from .errors import BudgetExceeded, IKDegError, InvalidParameters
 from .ff import Field, get_field, is_prime
 from .galois import degree_of, min_poly
@@ -204,37 +198,29 @@ def cmd_sum(args) -> int:
     b = _parse_b(F, args.b)
     n = args.n
     q = F.q
-    exact_p = None
-    code = 0
+    value, scale, code = None, 1, 0  # value is scale * IK, at conductor p
     if args.path in ("brute", "both"):
-        brute = inverted_kloosterman_brute(F, n, b, args.budget)
-        print(f"brute IK_{n}({q}, {b.serialize()}) = {json.dumps(brute.value.to_dict())}")
-        exact_p = brute.value
+        value = inverted_kloosterman_brute(F, n, b, args.budget).value
+        print(f"brute IK_{n}({q}, {b.serialize()}) = {json.dumps(value.to_dict())}")
     if args.path in ("formula", "both"):
-        sv = ik_formula_scaled(F, n, b)
+        z_p = scaled_ik_at_p(F, n, b)
+        wide = change_conductor(z_p, F.p * (q - 1))
         print(
             f"formula {q * (q - 1)}*IK_{n}({q}, {b.serialize()}) = "
-            f"{json.dumps(sv.value.reduced().to_dict())}"
+            f"{json.dumps(wide.reduced().to_dict())}"
         )
-        z_p = lower_conductor(sv.value, F.p)
-        if args.path == "both":
-            agree = sv.scale * exact_p == z_p
-            print(f"paths agree: {agree}")
-            if not agree:
-                code = 1
-        if exact_p is None:
-            exact_p = z_p  # scaled; degree and embeddings/scale reported below
-            scale = sv.scale
+        if value is None:
+            value, scale = z_p, q * (q - 1)
         else:
-            scale = 1
-    else:
-        scale = 1
+            agree = q * (q - 1) * value == z_p
+            print(f"paths agree: {agree}")
+            code = 0 if agree else 1
     for j in range(1, F.p) if F.p > 2 else [1]:
-        c, err = embed_complex(exact_p, j)
+        c, err = embed_complex(value, j)
         c /= scale
         print(f"embedding j={j}: {c.real:.12g}{c.imag:+.12g}i (err <= {err:.3g})")
-    deg = degree_of(exact_p)
-    poly = min_poly(exact_p)
+    deg = degree_of(value)
+    poly = min_poly(value)
     label = "IK" if scale == 1 else f"{scale}*IK"
     print(f"degree({label}) = {deg}")
     print(f"minpoly({label}) = {list(poly.coeffs)}")
@@ -308,6 +294,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the field is too large to compute in", file=sys.stderr)
         return 2
     except IKDegError as exc:
         print(f"error: {exc}", file=sys.stderr)

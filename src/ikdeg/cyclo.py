@@ -31,10 +31,6 @@ class IntPoly:
             c.pop()
         self.coeffs = tuple(c)
 
-    @classmethod
-    def x_power(cls, d, c=1):
-        return cls([0] * d + [c])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1

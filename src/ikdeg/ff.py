@@ -149,14 +149,6 @@ class FieldElt:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def encoding(self) -> int:
-        """Canonical integer encoding: sum of c_i * p^i."""
-        p = self.field.p
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * p + c
-        return out
-
     def __add__(self, other):
         if isinstance(other, int):
             other = self.field.elt(other)

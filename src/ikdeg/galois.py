@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charsum import ik_formula_scaled, scaled_ik_at_p
+from .charsum import scaled_ik_at_p
 from .cyclo import CycInt, IntPoly, galois_apply
 from .errors import NonIntegerCoefficients, WrongConductor, ZeroParameter
 from .ff import Field, is_prime
@@ -100,5 +100,4 @@ __all__ = [
     "min_poly",
     "equivariance_check",
     "ik_degree",
-    "ik_formula_scaled",
 ]

@@ -44,7 +44,8 @@ def test_criterion_3_divisibility():
 
 def test_criterion_4_bounds():
     t0 = time.time()
-    ok, _ = suites.bounds_suite()
+    ok, lines = suites.bounds_suite()
+    assert lines[-1].startswith("bounds: ok (1328 sums, ")
     _report("4 bounds: both archimedean estimates at every embedding", ok, time.time() - t0)
 
 

@@ -11,12 +11,15 @@ from ikdeg import (
     ik_formula_scaled,
     inverted_kloosterman_brute,
     kloosterman_brute,
+    lower_conductor,
     mult_char,
     s1_identity_check,
     scaled_ik_at_p,
 )
-from ikdeg.charsum import _character_terms
+from ikdeg.charsum import _character_terms, _relabel
 from ikdeg.errors import BudgetExceeded, CharAtZero, ZeroParameter
+from ikdeg.ff import is_prime
+from ikdeg.suites import DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
 
 
 def test_additive_char():
@@ -155,8 +158,27 @@ RELABEL_FIELDS = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 19)] + [
 def test_character_terms_match_kernel_powers(p, k):
     F = get_field(p, k)
     for n in range(1, 9):
-        got = _character_terms(F, n)
+        term = _character_terms(F, n)
+        got = [_relabel(term, p, m) for m in range(1, F.q - 1)]
         want = _per_character_terms(F, n)
         assert len(got) == len(want) == F.q - 2
         # exact group-ring equality, not only equality mod Phi
         assert [t.coeffs for t in got] == [t.coeffs for t in want], (F.q, n)
+
+
+def test_scaled_ik_at_p_matches_lowered_formula():
+    # the value read off term 1 equals the literal formula lowered to
+    # conductor p, coefficient for coefficient (both are canonical)
+    grid = [(p, 1, range(1, DEGREE_N_MAX + 1)) for p in range(2, DEGREE_P_MAX + 1) if is_prime(p)]
+    grid += [(p, k, EXTENSION_NS) for p, k in EXTENSION_FIELDS]
+    grid += [(2, k, range(1, 4)) for k in (1, 2, 3)]
+    checked = 0
+    for p, k, ns in grid:
+        F = get_field(p, k)
+        for n in ns:
+            for b in F.units():
+                z = scaled_ik_at_p(F, n, b)
+                assert z.m == p
+                assert z.coeffs == lower_conductor(ik_formula_scaled(F, n, b).value, p).coeffs, (F.q, n, b)
+                checked += 1
+    assert checked == 1328 + 3 + 3 * 3 + 7 * 3  # the two grids, then q = 2, 4, 8 with n <= 3

@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ikdeg import get_field, ik_formula_scaled
 from ikdeg.cli import CSV_FIELDS, build_parser, main
 from ikdeg.errors import InvalidParameters
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -45,8 +48,7 @@ def test_verify_identity_partial_budget_skip(capsys):
 
 
 def test_python_dash_m_entry_point():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "ikdeg", "sum", "--p", "5", "--n", "1", "--b", "1"],
         capture_output=True, text=True, env=env, timeout=60,
@@ -80,6 +82,57 @@ def test_sum_both_paths(capsys):
     assert code == 0
     assert "paths agree: True" in out
     assert "degree(IK) = 1" in out
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (31, 1)])
+def test_sum_formula_line_is_the_wide_formula(capsys, p, k):
+    # q = 2, 3, 4, 8, 9, 25, 27, 31: the line printed from the conductor-p
+    # value equals the literal Gauss-sum formula at conductor p(q-1)
+    F = get_field(p, k)
+    q, b = F.q, F.generator.serialize()
+    for n in (1, 2):
+        code, out, _ = run_cli(capsys, "sum", "--p", str(p), "--k", str(k), "--n", str(n), "--b", b)
+        assert code == 0
+        want = ik_formula_scaled(F, n, F.generator).value.reduced().to_dict()
+        assert out.splitlines()[0] == f"formula {q * (q - 1)}*IK_{n}({q}, {b}) = {json.dumps(want)}"
+
+
+# Runs one CLI command in a fresh interpreter (so no value is cached) with
+# the wide route stubbed out in every ikdeg module that binds it.
+STUBBED_MAIN = """
+import sys
+from ikdeg import cli
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a command reached the conductor-p(q-1) route")
+
+for name, module in list(sys.modules.items()):
+    for attr in ("lower_conductor", "ik_formula_scaled"):
+        if name.split(".")[0] == "ikdeg" and attr in vars(module):
+            setattr(module, attr, forbidden)
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "census --p 5 --n 1 --n-max 2",
+        "census --p 3 --k 2 --n 1",
+        "sum --p 5 --n 2 --b 2 --path both",
+        "verify identity --p 5",
+        "verify degree --p-max 7 --n-max 2",
+        "verify cases",
+    ],
+)
+def test_commands_never_take_the_wide_route(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", STUBBED_MAIN, *argv.split()],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_sum_formula_degree(capsys):
@@ -193,6 +246,9 @@ def test_out_io_error(tmp_path, capsys):
         ["verify", "identity", "--n", "0"],
         ["verify", "stickelberger", "--p-max", "2"],
         ["verify", "stickelberger", "--p", "5", "--precision", "0"],
+        # Z[zeta_{p(q-1)}] would need 10^10 coefficients: MemoryError at once
+        ["sum", "--p", "100003", "--n", "1", "--b", "1"],
+        ["census", "--p", "100003", "--n", "1"],
     ],
 )
 def test_invalid_input_exits_2(capsys, argv):
