@@ -1,7 +1,10 @@
 """Characters, Gauss sums, and Kloosterman sums (classical and inverted).
 
-Two routes to the inverted sum are provided: naive enumeration over
-(q-1)^n tuples, and the exact Gauss-sum formula. The formula is a sum
+Two exact routes to the inverted sum are provided. The counting route
+tallies the (q-1)^n unit tuples by their sum, with a recursion on sums
+and products that uses only field addition and discrete logs, in
+O(n (q-1)^2) steps; it is the independent witness. The Gauss-sum
+formula, the object under test, is a sum
 over characters of relabelled copies rho_m of one term in
 Z[zeta_{p(q-1)}]; `ik_formula_scaled` states it literally, while
 `scaled_ik_at_p` reads its value in Z[zeta_p] off that one term, since
@@ -12,7 +15,6 @@ everything stays inside a ring with decidable equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cyclo import CycInt, embed_complex
@@ -115,18 +117,43 @@ def _enumeration_guard(F: Field, n: int, b, budget: int) -> FieldElt:
     return b
 
 
+def _add_rotations(acc: list, row: list, shifts) -> list:
+    """acc[i] plus row[i - d] for each d in shifts, with 0 <= d < len(row)."""
+    for d in shifts:
+        acc = [a + r for a, r in zip(acc, row[-d:] + row[:-d])]
+    return acc
+
+
 def _brute_distribution(F: Field, n: int, b) -> dict:
-    """Count unit tuples by s = x_1 + ... + x_n + b/(x_1 ... x_n), keyed by s.coeffs."""
+    """Count unit tuples by s = x_1 + ... + x_n + b/(x_1 ... x_n), keyed by s.coeffs.
+
+    Appending x_(n+1) = b/(x_1 ... x_n) makes these the unit (n+1)-tuples
+    with product b, counted by sum. Let D_k(s, j) count the unit k-tuples
+    with sum s and product g^j; then D_k(s, j) is the sum over units g^c
+    of D_(k-1)(s - g^c, j - c). Scaling a tuple by a unit a gives
+    D_k(a s, j + k dlog a) = D_k(s, j), so the rows s = 0 and s = 1 hold
+    all of D_k, and each step costs O((q-1)^2) through the logs of 1 - g^c.
+    Only dlog and field addition enter: no character or cyclotomic value.
+    """
     q1 = max(F.q - 1, 1)
-    units = [F.pow_of_generator(j) for j in range(q1)]
-    b_over = [b * units[-j % q1] for j in range(q1)]  # b / g^j
-    dist: dict = {}
-    for js in itertools.product(range(q1), repeat=n):
-        s = b_over[sum(js) % q1]
-        for j in js:
-            s = s + units[j]
-        dist[s.coeffs] = dist.get(s.coeffs, 0) + 1
-    return dist
+    neg_one = F.dlog(F.elt(-1))
+    # 1 - g^c = g^(log_one_minus[c]) for c != 0
+    log_one_minus = [F.dlog(F.one - F.pow_of_generator(c)) for c in range(1, q1)]
+    zero_row, one_row = [1] + [0] * (q1 - 1), [0] * q1  # D_0 counts the empty tuple
+    for k in range(1, n + 2):
+        # D_(k-1)(g^e, i) = one_row[i - (k-1) e]. For s = 1 the unit g^0
+        # leaves s - g^0 = 0; for s = 0, s - g^c = g^(c + neg_one).
+        from_one = ((c + (k - 1) * e) % q1 for c, e in enumerate(log_one_minus, 1))
+        from_zero = ((k * c + (k - 1) * neg_one) % q1 for c in range(q1))
+        zero_row, one_row = (
+            _add_rotations([0] * q1, one_row, from_zero),
+            _add_rotations(zero_row, one_row, from_one),
+        )
+    beta = F.dlog(b)
+    dist = {F.zero.coeffs: zero_row[beta]}
+    for c in range(q1):  # D_(n+1)(g^c, beta) = D_(n+1)(1, beta - (n+1) c)
+        dist[F.pow_of_generator(c).coeffs] = one_row[(beta - (n + 1) * c) % q1]
+    return {s: count for s, count in dist.items() if count}
 
 
 def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> SumValue:

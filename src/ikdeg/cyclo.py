@@ -128,29 +128,52 @@ class IntPoly:
         return "IntPoly(" + " + ".join(terms) + ")"
 
 
-def _divisors(m):
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
     out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
             out.append(d)
-            if d != m // d:
-                out.append(m // d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return sorted(out)
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial, by exact division of x^m - 1."""
+    """The m-th cyclotomic polynomial, as Phi_rad(x^(m/rad)).
+
+    rad is the product of the primes dividing m, and
+    Phi_rad = prod over d | rad of (x^d - 1)^mu(rad/d). Phi_rad has degree
+    phi(rad), so the product is taken as a power series mod x^(phi(rad)+1):
+    each factor, or its inverse -(1 + x^d + x^(2d) + ...), is one
+    O(phi(rad)) shift-and-add pass.
+    """
     if m < 1:
         raise ValueError("conductor must be positive")
-    num = IntPoly([-1] + [0] * (m - 1) + [1])  # x^m - 1
-    for d in _divisors(m):
-        if d < m:
-            num, rem = divmod(num, cyclotomic_poly(d))
-            assert rem.is_zero()
-    return num
+    primes = prime_factors(m)
+    rad, deg = 1, 1
+    for ell in primes:
+        rad, deg = rad * ell, deg * (ell - 1)
+    factors = [(rad, 1)]  # (d, mu(rad/d)) for each d | rad
+    for ell in primes:
+        factors += [(d // ell, -mu) for d, mu in factors]
+    c = [1] + [0] * deg
+    for d, mu in factors:
+        if mu == 1:  # times x^d - 1
+            c = [-v for v in c[:d]] + [u - v for u, v in zip(c, c[d:])]
+        else:  # times -(1 + x^d + x^(2d) + ...)
+            for i in range(d, deg + 1):
+                c[i] += c[i - d]
+            c = [-v for v in c]
+    step = m // rad
+    out = [0] * (deg * step + 1)
+    out[::step] = c
+    return IntPoly(out)
 
 
 @lru_cache(maxsize=None)
@@ -390,16 +413,23 @@ def lower_conductor(z: CycInt, d: int) -> CycInt:
     return CycInt(d, out)
 
 
+@lru_cache(maxsize=None)
+def _complex_roots(m: int) -> tuple:
+    """e^(2*pi*i*e/m) for e = 0 .. m-1."""
+    return tuple(cmath.exp(2j * cmath.pi * e / m) for e in range(m))
+
+
 def embed_complex(z: CycInt, j: int):
     """Evaluate z at e^(2*pi*i*j/m); returns (value, error_bound)."""
     if gcd(j, z.m) != 1:
         raise NonCoprimeIndex(f"gcd({j}, {z.m}) != 1")
     m = z.m
+    roots = _complex_roots(m)
     val = 0j
     total = 0
     for i, c in enumerate(z.coeffs):
         if c:
-            val += c * cmath.exp(2j * cmath.pi * ((j * i) % m) / m)
+            val += c * roots[(j * i) % m]
             total += abs(c)
     err = 8 * total * sys.float_info.epsilon
     return val, err

@@ -42,7 +42,7 @@ class WrongConductor(IKDegError):
 
 
 class NonIntegerCoefficients(IKDegError):
-    """Minimal-polynomial expansion produced non-rational coefficients (bug)."""
+    """A minimal-polynomial coefficient came out as a non-integer (bug)."""
 
 
 class PrecisionMismatch(IKDegError):

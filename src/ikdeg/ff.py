@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclo import IntPoly
+from .cyclo import IntPoly, prime_factors
 from .errors import FieldMismatch, InvalidParameters, InversionOfZero, LogOfZero
 
 
@@ -26,20 +26,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # -- polynomial helpers over F_p (coefficient lists, ascending) ----------

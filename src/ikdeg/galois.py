@@ -42,31 +42,36 @@ def degree_of(z: CycInt) -> int:
     return conjugate_set(z).distinct_count
 
 
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise NonIntegerCoefficients(f"{a} is not divisible by {b} (bug)")
+    return q
+
+
 def min_poly(z: CycInt) -> IntPoly:
-    """Monic minimal polynomial of z over Q, from the orbit product."""
+    """Monic minimal polynomial of z over Q, by Newton's identities.
+
+    With d = deg z and h = (p-1)/d, each conjugate appears h times among
+    the sigma_a(z), so the power sums over the orbit are
+    s_k = Tr(z^k)/h, where Tr(sum c_i zeta^i) = (p-1) c_0 - sum_(i>=1) c_i.
+    Then e_k = (1/k) sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i. The powers cost
+    d - 1 products, where expanding the orbit product costs about d^2/2.
+    """
     p = _require_prime_conductor(z)
-    orbit = []
-    seen = set()
-    for c in conjugate_set(z).conjugates:
-        key = c.canonical()
-        if key not in seen:
-            seen.add(key)
-            orbit.append(c)
-    # expand prod (x - c) with CycInt coefficients
-    coeffs = [CycInt.from_int(p, 1)]
-    for c in orbit:
-        nxt = [CycInt.zero(p) for _ in range(len(coeffs) + 1)]
-        for i, a in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + a
-            nxt[i] = nxt[i] - c * a
-        coeffs = nxt
-    out = []
-    for a in coeffs:
-        if not a.is_rational():
-            raise NonIntegerCoefficients("orbit product is not rational (bug)")
-        out.append(a.as_int())
-    poly = IntPoly(out)
-    assert poly.is_monic() and poly.degree == len(orbit)
+    d = conjugate_set(z).distinct_count
+    h = (p - 1) // d
+    powers = [z]
+    for _ in range(d - 1):
+        powers.append(powers[-1] * z)
+    power_sums = [0] + [_exact_div(p * w.coeffs[0] - sum(w.coeffs), h) for w in powers]
+    e = [1]
+    for k in range(1, d + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * power_sums[i] for i in range(1, k + 1))
+        e.append(_exact_div(acc, k))
+    # prod (x - c) over the orbit = sum_k (-1)^k e_k x^(d-k)
+    poly = IntPoly([(-1) ** k * e[k] for k in range(d, -1, -1)])
+    assert poly.is_monic() and poly.degree == d
     value = poly(z)
     assert value.is_zero(), "minimal polynomial does not vanish at z (bug)"
     return poly

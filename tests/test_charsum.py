@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 
 from ikdeg import (
@@ -16,7 +19,7 @@ from ikdeg import (
     s1_identity_check,
     scaled_ik_at_p,
 )
-from ikdeg.charsum import _character_terms, _relabel
+from ikdeg.charsum import _brute_distribution, _character_terms, _relabel
 from ikdeg.errors import BudgetExceeded, CharAtZero, ZeroParameter
 from ikdeg.ff import is_prime
 from ikdeg.suites import DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
@@ -60,6 +63,44 @@ def test_gauss_sum_norm():
             lhs = gauss_sum(CharSpec(F, m)) * gauss_sum(CharSpec(F, q1 - m))
             chi_neg1 = CycInt.monomial(F.p * q1, F.p * ((-m * dneg1) % q1))
             assert lhs == chi_neg1 * CycInt.from_int(F.p * q1, F.q)
+
+
+def _enumerated_distributions(F, n):
+    """Oracle: {b.coeffs: _brute_distribution(F, n, b)} by walking all (q-1)^n unit tuples.
+
+    The sum of a tuple and the log of its product do not depend on b, so
+    each tuple is walked once and b/(x_1 ... x_n) is added to the tallies.
+    """
+    q1 = max(F.q - 1, 1)
+    units = [F.pow_of_generator(j) for j in range(q1)]
+    tally = Counter()
+    for js in itertools.product(range(q1), repeat=n):
+        s = F.zero
+        for j in js:
+            s = s + units[j]
+        tally[s, sum(js) % q1] += 1
+    out = {}
+    for b in F.units():
+        b_over = [b * units[-j % q1] for j in range(q1)]  # b / g^j
+        dist = Counter()
+        for (s, j), count in tally.items():
+            dist[(s + b_over[j]).coeffs] += count
+        out[b.coeffs] = dict(dist)
+    return out
+
+
+def test_brute_distribution_matches_enumeration():
+    grid = [(p, 1, n) for p in range(2, 14) if is_prime(p) for n in range(1, 7) if (p - 1) ** n <= 50_000]
+    grid += [(p, k, n) for p, k in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)) for n in (1, 2, 3)]
+    with_zero = 0
+    for p, k, n in grid:
+        F = get_field(p, k)
+        want = _enumerated_distributions(F, n)
+        for b in F.units():
+            got = _brute_distribution(F, n, b)
+            assert got == want[b.coeffs], (F.q, n, b)
+            with_zero += F.zero.coeffs in got  # the s = 0 count kloosterman_brute reads
+    assert with_zero == 360
 
 
 def test_kloosterman_brute_examples():

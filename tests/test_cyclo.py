@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -15,6 +16,7 @@ from ikdeg import (
     lower_conductor,
 )
 from ikdeg.errors import ConductorMismatch, NonCoprimeIndex, WrongConductor
+from ikdeg.ff import is_prime
 
 
 def test_cyclotomic_poly_examples():
@@ -22,6 +24,23 @@ def test_cyclotomic_poly_examples():
     assert cyclotomic_poly(6).coeffs == (1, -1, 1)
     assert cyclotomic_poly(12).coeffs == (1, 0, -1, 0, 1)
     assert cyclotomic_poly(8).coeffs == (1, 0, 0, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def _divided_cyclotomic(m):
+    """Oracle: x^m - 1 divided exactly by Phi_d for every proper divisor d."""
+    num = IntPoly([-1] + [0] * (m - 1) + [1])
+    for d in range(1, m):
+        if m % d == 0:
+            num, rem = divmod(num, _divided_cyclotomic(d))
+            assert rem.is_zero()
+    return num
+
+
+def test_cyclotomic_poly_matches_division():
+    ms = list(range(1, 301)) + [p * (p - 1) for p in range(2, 32) if is_prime(p)]
+    for m in ms:
+        assert cyclotomic_poly(m) == _divided_cyclotomic(m), m
 
 
 def test_zeta_is_root_of_cyclotomic_poly():
@@ -86,6 +105,22 @@ def test_embed_examples():
     assert abs(v - 1j * math.sqrt(3)) < 1e-12
     with pytest.raises(NonCoprimeIndex):
         embed_complex(CycInt.zeta(6), 3)
+
+
+def test_embed_complex_matches_per_coefficient_exp():
+    # the table of roots gives the same floats as one exp per coefficient
+    rng = random.Random(5)
+    for m in (3, 5, 7, 12, 31, 62, 930):
+        for _ in range(4):
+            z = CycInt(m, [rng.choice((0, 0, rng.randrange(-10**9, 10**9))) for _ in range(m)])
+            for j in range(1, m):
+                if math.gcd(j, m) != 1:
+                    continue
+                want = 0j
+                for i, c in enumerate(z.coeffs):
+                    if c:
+                        want += c * cmath.exp(2j * cmath.pi * ((j * i) % m) / m)
+                assert embed_complex(z, j)[0] == want, (m, j)
 
 
 def test_embedding_norm_product_is_integer():

@@ -4,16 +4,20 @@ import pytest
 
 from ikdeg import (
     CycInt,
+    IntPoly,
     conjugate_set,
     degree_of,
     equivariance_check,
     galois_apply,
     get_field,
     ik_degree,
+    inverted_kloosterman_brute,
     min_poly,
     scaled_ik_at_p,
 )
 from ikdeg.errors import WrongConductor, ZeroParameter
+from ikdeg.ff import is_prime
+from ikdeg.suites import DEGREE_N_MAX, DEGREE_P_MAX
 
 
 def test_conjugate_set_counts():
@@ -57,6 +61,38 @@ def test_min_poly_vanishes_and_is_minimal():
         assert f(z).is_zero()
         assert f.degree == degree_of(z)
         assert f.is_monic()
+
+
+def _orbit_product(z):
+    """Oracle: prod (x - c) over the distinct conjugates c of z, expanded in Z[zeta_p]."""
+    p = z.m
+    orbit = {}
+    for c in conjugate_set(z).conjugates:
+        orbit.setdefault(c.canonical(), c)
+    coeffs = [CycInt.from_int(p, 1)]
+    for c in orbit.values():
+        nxt = [CycInt.zero(p) for _ in range(len(coeffs) + 1)]
+        for i, a in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + a
+            nxt[i] = nxt[i] - c * a
+        coeffs = nxt
+    return IntPoly([a.as_int() for a in coeffs])
+
+
+def test_min_poly_matches_orbit_product():
+    values = [CycInt.from_int(p, c) for p, c in ((2, 3), (3, 0), (7, -4), (31, 10**12))]
+    values += [CycInt.zeta(p) for p in (2, 3, 5, 13, 31)]
+    for p in range(2, DEGREE_P_MAX + 1):
+        if not is_prime(p):
+            continue
+        F = get_field(p)
+        for n in range(1, DEGREE_N_MAX + 1):
+            for b in sorted({1, p - 1}):
+                # scale q(q-1), reduced; scale 1, as the counting route returns it
+                values.append(scaled_ik_at_p(F, n, b))
+                values.append(inverted_kloosterman_brute(F, n, b, budget=(p - 1) ** n).value)
+    for z in values:
+        assert min_poly(z) == _orbit_product(z), z
 
 
 def test_ik_degree_anchors():
