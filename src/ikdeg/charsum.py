@@ -2,10 +2,10 @@
 
 Two exact routes to the inverted sum are provided. The counting route
 tallies the (q-1)^n unit tuples by their sum, with a recursion on sums
-and products that uses only field addition and discrete logs, in
-O(n (q-1)^2) steps; it is the independent witness. The Gauss-sum
-formula, the object under test, is a sum
-over characters of relabelled copies rho_m of one term in
+and products that uses only field addition and discrete logs: O(q) work
+for n = 1, O(n q^2) beyond, and never more than 2n (q-1)^n additions.
+It is the independent witness. The Gauss-sum formula, the object under
+test, is a sum over characters of relabelled copies rho_m of one term in
 Z[zeta_{p(q-1)}]; `ik_formula_scaled` states it literally, while
 `scaled_ik_at_p` reads its value in Z[zeta_p] off that one term, since
 the sum of rho_m over all m is (q-1) times the zeta_{q-1}-free row.
@@ -111,6 +111,7 @@ def _check_ik_args(F: Field, n: int, b) -> FieldElt:
 
 
 def _enumeration_guard(F: Field, n: int, b, budget: int) -> FieldElt:
+    """Refuse (q-1)^n > budget; the counting does at most 2n times that work."""
     b = _check_ik_args(F, n, b)
     if (F.q - 1) ** n > budget:
         raise BudgetExceeded(f"(q-1)^n = {(F.q - 1) ** n} exceeds budget {budget}")
@@ -118,9 +119,17 @@ def _enumeration_guard(F: Field, n: int, b, budget: int) -> FieldElt:
 
 
 def _add_rotations(acc: list, row: list, shifts) -> list:
-    """acc[i] plus row[i - d] for each d in shifts, with 0 <= d < len(row)."""
+    """acc[i] plus row[i - d] for each d in shifts, with 0 <= d < len(row).
+
+    Only the nonzero entries of row are spread, so the cost is the number
+    of shifts times the number of those entries.
+    """
+    q1 = len(row)
+    acc = list(acc)
+    nonzero = [(i, r) for i, r in enumerate(row) if r]
     for d in shifts:
-        acc = [a + r for a, r in zip(acc, row[-d:] + row[:-d])]
+        for i, r in nonzero:
+            acc[(i + d) % q1] += r
     return acc
 
 
@@ -132,7 +141,10 @@ def _brute_distribution(F: Field, n: int, b) -> dict:
     with sum s and product g^j; then D_k(s, j) is the sum over units g^c
     of D_(k-1)(s - g^c, j - c). Scaling a tuple by a unit a gives
     D_k(a s, j + k dlog a) = D_k(s, j), so the rows s = 0 and s = 1 hold
-    all of D_k, and each step costs O((q-1)^2) through the logs of 1 - g^c.
+    all of D_k, and a step spreads each nonzero entry of row s = 1 of
+    D_(k-1) over q-1 shifts through the logs of 1 - g^c. That row is empty
+    for D_0 and has one entry for D_1, so n = 1 costs O(q) and the whole
+    count at most 2n (q-1)^n additions: the tuple budget bounds the work.
     Only dlog and field addition enter: no character or cyclotomic value.
     """
     q1 = max(F.q - 1, 1)
@@ -157,7 +169,7 @@ def _brute_distribution(F: Field, n: int, b) -> dict:
 
 
 def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> SumValue:
-    """K_n(q, b) by direct enumeration of the n free coordinates."""
+    """K_n(q, b), from the counts of unit tuples by sum (_brute_distribution)."""
     b = _enumeration_guard(F, n, b, budget)
     tr = _trace_table(F)
     counts = [0] * F.p
@@ -169,7 +181,7 @@ def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> SumV
 def inverted_kloosterman_brute(
     F: Field, n: int, b, budget: int = DEFAULT_BUDGET
 ) -> SumValue:
-    """IK_n(q, b) by direct enumeration; the empty sum is 0."""
+    """IK_n(q, b), from the counts of unit tuples by sum; the empty sum is 0."""
     b = _enumeration_guard(F, n, b, budget)
     tr = _trace_table(F)
     counts = [0] * F.p

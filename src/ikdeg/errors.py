@@ -30,7 +30,7 @@ class CharAtZero(IKDegError):
 
 
 class BudgetExceeded(IKDegError):
-    """Brute-force enumeration would exceed the tuple budget."""
+    """The (q-1)^n unit tuples of the counting route exceed the tuple budget."""
 
 
 class ZeroParameter(IKDegError):

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ from ikdeg.charsum import _brute_distribution, _character_terms, _relabel
 from ikdeg.errors import BudgetExceeded, CharAtZero, ZeroParameter
 from ikdeg.ff import is_prime
 from ikdeg.suites import DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_additive_char():
@@ -101,6 +107,28 @@ def test_brute_distribution_matches_enumeration():
             assert got == want[b.coeffs], (F.q, n, b)
             with_zero += F.zero.coeffs in got  # the s = 0 count kloosterman_brute reads
     assert with_zero == 360
+
+
+def test_brute_distribution_n1_is_linear_in_q():
+    """For n = 1 the counting spreads one nonzero entry per step, O(q) in all.
+
+    At q = 65537 that is about a second with the field build; spreading
+    every entry of each row would be about 4 q^2 = 1.7e10 additions.
+    """
+    script = (
+        "from collections import Counter\n"
+        "from ikdeg import get_field\n"
+        "from ikdeg.charsum import _brute_distribution\n"
+        "F = get_field(65537)\n"
+        "b = F.elt(3)\n"
+        "want = Counter((x + b * x.inverse()).coeffs for x in F.units())\n"
+        "assert _brute_distribution(F, 1, b) == dict(want)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_kloosterman_brute_examples():
