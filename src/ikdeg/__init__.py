@@ -6,8 +6,6 @@ over Q(zeta_p), and pi-adic Stickelberger/main-term verification.
 """
 
 from .charsum import (
-    CharSpec,
-    SumValue,
     additive_char,
     bounds_check,
     gauss_sum,
@@ -30,7 +28,6 @@ from .cyclo import (
 )
 from .ff import Field, FieldElt, dlog, get_field, primitive_root, trace
 from .galois import (
-    OrbitReport,
     conjugate_set,
     degree_of,
     equivariance_check,
@@ -56,8 +53,6 @@ __version__ = "0.1.0"
 HAVE_COMPILED = False
 
 __all__ = [
-    "CharSpec",
-    "SumValue",
     "additive_char",
     "bounds_check",
     "gauss_sum",
@@ -81,7 +76,6 @@ __all__ = [
     "get_field",
     "primitive_root",
     "trace",
-    "OrbitReport",
     "conjugate_set",
     "degree_of",
     "equivariance_check",

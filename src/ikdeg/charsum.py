@@ -15,47 +15,11 @@ everything stays inside a ring with decidable equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclo import CycInt, embed_complex
 from .errors import BudgetExceeded, CharAtZero, ZeroParameter
 from .ff import Field, FieldElt
 
 DEFAULT_BUDGET = 2_000_000
-
-
-class CharSpec:
-    """Multiplicative character chi = omega^(-m_index), omega(g^j) = zeta_{q-1}^j."""
-
-    __slots__ = ("field", "m_index")
-
-    def __init__(self, field: Field, m_index: int):
-        self.field = field
-        self.m_index = m_index % max(field.q - 1, 1)
-
-    def is_trivial(self):
-        return self.m_index == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharSpec)
-            and other.field is self.field
-            and other.m_index == self.m_index
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.m_index))
-
-    def __repr__(self):
-        return f"CharSpec(q={self.field.q}, omega^-{self.m_index})"
-
-
-@dataclass(frozen=True)
-class SumValue:
-    """An exact sum; `value` equals `scale` times the mathematical quantity."""
-
-    value: CycInt
-    scale: int
 
 
 def _trace_table(F: Field):
@@ -71,30 +35,32 @@ def additive_char(F: Field, x) -> CycInt:
     return CycInt.monomial(F.p, F.trace(x))
 
 
-def mult_char(c: CharSpec, x) -> CycInt:
-    """chi(x) = zeta_{q-1}^(-m_index * dlog x), at conductor q-1."""
-    F = c.field
+def mult_char(F: Field, m: int, x) -> CycInt:
+    """chi(x) = zeta_{q-1}^(-m * dlog x) for chi = omega^(-m), omega(g^j) =
+    zeta_{q-1}^j, at conductor q-1."""
     x = F.elt(x)
     if x.is_zero():
         raise CharAtZero("multiplicative character at zero")
     q1 = max(F.q - 1, 1)
-    return CycInt.monomial(q1, (-c.m_index * F.dlog(x)) % q1)
+    return CycInt.monomial(q1, (-m * F.dlog(x)) % q1)
 
 
-def gauss_sum(c: CharSpec) -> CycInt:
-    """G(chi) = sum over x != 0 of chi(x) psi(x), at conductor p(q-1)."""
-    F = c.field
-    key = ("gauss", c.m_index)
+def gauss_sum(F: Field, m: int) -> CycInt:
+    """G(chi) = sum over x != 0 of chi(x) psi(x) for chi = omega^(-m), m
+    read mod q-1, at conductor p(q-1)."""
+    q1 = max(F.q - 1, 1)
+    m %= q1
+    key = ("gauss", m)
     cached = F._cache.get(key)
     if cached is not None:
         return cached
-    p, q1 = F.p, max(F.q - 1, 1)
+    p = F.p
     big_m = p * q1
     tr = _trace_table(F)
     out = [0] * big_m
     for j in range(F.q - 1 if F.q > 2 else 1):
         # zeta_{q-1} = zeta_M^p, zeta_p = zeta_M^(q-1)
-        e = (p * ((-c.m_index * j) % q1) + q1 * tr[F.pow_of_generator(j).coeffs]) % big_m
+        e = (p * ((-m * j) % q1) + q1 * tr[F.pow_of_generator(j).coeffs]) % big_m
         out[e] += 1
     g = CycInt(big_m, out)
     F._cache[key] = g
@@ -168,27 +134,29 @@ def _brute_distribution(F: Field, n: int, b) -> dict:
     return {s: count for s, count in dist.items() if count}
 
 
-def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> SumValue:
-    """K_n(q, b), from the counts of unit tuples by sum (_brute_distribution)."""
+def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> CycInt:
+    """K_n(q, b) at conductor p, from the counts of unit tuples by sum
+    (_brute_distribution)."""
     b = _enumeration_guard(F, n, b, budget)
     tr = _trace_table(F)
     counts = [0] * F.p
     for s, count in _brute_distribution(F, n, b).items():
         counts[tr[s]] += count
-    return SumValue(CycInt(F.p, counts), 1)
+    return CycInt(F.p, counts)
 
 
 def inverted_kloosterman_brute(
     F: Field, n: int, b, budget: int = DEFAULT_BUDGET
-) -> SumValue:
-    """IK_n(q, b), from the counts of unit tuples by sum; the empty sum is 0."""
+) -> CycInt:
+    """IK_n(q, b) at conductor p, from the counts of unit tuples by sum;
+    the empty sum is 0."""
     b = _enumeration_guard(F, n, b, budget)
     tr = _trace_table(F)
     counts = [0] * F.p
     for s, count in _brute_distribution(F, n, b).items():
         if any(s):
             counts[tr[F.elt(s).inverse().coeffs]] += count
-    return SumValue(CycInt(F.p, counts), 1)
+    return CycInt(F.p, counts)
 
 
 def _relabel(z: CycInt, p: int, s: int) -> CycInt:
@@ -222,26 +190,26 @@ def _character_terms(F: Field, n: int) -> CycInt:
     cached = F._cache.get(key)
     if cached is None:
         p, q1 = F.p, F.q - 1
-        g = gauss_sum(CharSpec(F, 1))
+        g = gauss_sum(F, 1)
         cached = _relabel(g * g, p, -(n + 1)) * g ** (n + 1)
         cached = cached.shifted(p * ((-(n + 1) * F.dlog(F.elt(-1))) % q1))  # chi^(n+1)(-1)
         F._cache[key] = cached
     return cached
 
 
-def ik_formula_scaled(F: Field, n: int, b) -> SumValue:
-    """q(q-1) * IK_n(q, b), exactly, via the Gauss-sum identity.
+def ik_formula_scaled(F: Field, n: int, b) -> CycInt:
+    """q(q-1) * IK_n(q, b) at conductor p(q-1), via the Gauss-sum identity.
 
     The character omega^(-m) contributes rho_m(T_b), where T_b is term 1
     times chi^(-1)(b) = zeta_{q-1}^(dlog b).
     """
     b = _check_ik_args(F, n, b)
-    p, q, q1 = F.p, F.q, F.q - 1
+    p, q1 = F.p, F.q - 1
     t_b = _character_terms(F, n).shifted(p * F.dlog(b))
     total = CycInt.from_int(p * q1, -(q1 ** (n + 1)) + (-1) ** (n + 1))
     for m in range(1, q1):
         total = total + _relabel(t_b, p, m)
-    return SumValue(total, q * q1)
+    return total
 
 
 def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:
@@ -293,49 +261,13 @@ def s1_identity_check(F: Field, n: int) -> bool:
     return lam_sum * chi_sum == CycInt.from_int(big_m, -(q1 ** (n + 1)))
 
 
-@dataclass(frozen=True)
-class EmbeddingBound:
-    j: int
-    bound1_lhs: float
-    bound1_rhs: float
-    bound1_margin: float
-    bound2_lhs: float | None
-    bound2_rhs: float | None
-    bound2_margin: float | None
+def bounds_check(F: Field, n: int, b):
+    """Numeric check of both estimates at every complex embedding.
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    q: int
-    n: int
-    b: str
-    second_applicable: bool
-    embeddings: tuple[EmbeddingBound, ...]
-
-    def ok(self, slack: float = 1e-6) -> bool:
-        for e in self.embeddings:
-            if e.bound1_lhs > e.bound1_rhs + slack:
-                return False
-            if e.bound2_lhs is not None and e.bound2_lhs > e.bound2_rhs + slack:
-                return False
-        return True
-
-    @property
-    def bound1_lhs_max(self):
-        return max(e.bound1_lhs for e in self.embeddings)
-
-    @property
-    def bound2_lhs_max(self):
-        if not self.second_applicable:
-            return None
-        return max(e.bound2_lhs for e in self.embeddings)
-
-
-def bounds_check(F: Field, n: int, b) -> BoundReport:
-    """Numeric check of both estimates at every complex embedding."""
-    b = F.elt(b)
-    if b.is_zero():
-        raise ZeroParameter("parameter b must be nonzero")
+    Returns (lhs1, rhs1, lhs2, rhs2), each lhs the maximum over the p-1
+    embeddings; lhs2 and rhs2 are None when p divides n+1.
+    """
+    b = _check_ik_args(F, n, b)
     z = scaled_ik_at_p(F, n, b)
     q = F.q
     second = (n + 1) % F.p != 0
@@ -343,21 +275,11 @@ def bounds_check(F: Field, n: int, b) -> BoundReport:
     rhs2 = 2 * n * float(q) ** (n / 2) if second else None
     shift1 = (q - 1) ** n / q
     shift2 = ((q - 1) ** n - (-1) ** n * (q + 1)) / q if second else None
-    rows = []
+    lhs1s, lhs2s = [], []
     for j in range(1, F.p) if F.p > 2 else [1]:
         c, _err = embed_complex(z, j)
         ik = c / (q * (q - 1))
-        lhs1 = abs(ik + shift1)
-        lhs2 = abs(ik + shift2) if second else None
-        rows.append(
-            EmbeddingBound(
-                j,
-                lhs1,
-                rhs1,
-                rhs1 - lhs1,
-                lhs2,
-                rhs2,
-                (rhs2 - lhs2) if second else None,
-            )
-        )
-    return BoundReport(q, n, b.serialize(), second, tuple(rows))
+        lhs1s.append(abs(ik + shift1))
+        if second:
+            lhs2s.append(abs(ik + shift2))
+    return max(lhs1s), rhs1, max(lhs2s) if second else None, rhs2

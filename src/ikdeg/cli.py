@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from math import gcd
 
 from . import suites
@@ -18,25 +17,6 @@ from .errors import BudgetExceeded, IKDegError, InvalidParameters
 from .ff import Field, get_field, is_prime
 from .galois import degree_of, min_poly
 from .padic import run_case_analysis
-
-
-@dataclass
-class CensusRecord:
-    p: int
-    k_ext: int
-    q: int
-    n: int
-    b: str
-    degree: int
-    predicted_degree_bound: int
-    degree_matches: object  # True | False | "n/a"
-    bound1_lhs: float
-    bound1_rhs: float
-    bound2_lhs: float | None
-    bound2_rhs: float | None
-    case_label: str
-    predicted_val: int | None
-    observed_val: int | None
 
 
 CSV_FIELDS = [
@@ -68,50 +48,38 @@ def _fmt_cell(v):
     return str(v)
 
 
-def census_record(F: Field, n: int, b) -> CensusRecord:
+def census_record(F: Field, n: int, b) -> dict:
+    """One census row, keyed by CSV_FIELDS."""
     p = F.p
-    z_p = scaled_ik_at_p(F, n, b)
-    degree = degree_of(z_p)
+    degree = degree_of(scaled_ik_at_p(F, n, b))
     bound = (p - 1) // gcd(n + 1, p - 1)
-    matches = (degree == bound) if F.k == 1 else "n/a"
-    report = bounds_check(F, n, b)
     case_label, pred, obs = "", None, None
     if F.k == 1:
         rep = run_case_analysis(p, n, b.coeffs[0], F.generator.coeffs[0])
         case_label, pred, obs = rep.case_label, rep.predicted_valuation, rep.observed_valuation
-    return CensusRecord(
-        p=p,
-        k_ext=F.k,
-        q=F.q,
-        n=n,
-        b=b.serialize(),
-        degree=degree,
-        predicted_degree_bound=bound,
-        degree_matches=matches,
-        bound1_lhs=report.bound1_lhs_max,
-        bound1_rhs=report.embeddings[0].bound1_rhs,
-        bound2_lhs=report.bound2_lhs_max,
-        bound2_rhs=report.embeddings[0].bound2_rhs,
-        case_label=case_label,
-        predicted_val=pred,
-        observed_val=obs,
+    values = (
+        p, F.k, F.q, n, b.serialize(), degree, bound,
+        (degree == bound) if F.k == 1 else "n/a",  # degree_matches
+        *bounds_check(F, n, b),
+        case_label, pred, obs,
     )
+    return dict(zip(CSV_FIELDS, values))
 
 
 def _emit(records, fmt, out):
     if fmt == "csv":
         lines = [",".join(CSV_FIELDS)]
         for r in records:
-            lines.append(",".join(_fmt_cell(getattr(r, f)) for f in CSV_FIELDS))
+            lines.append(",".join(_fmt_cell(r[f]) for f in CSV_FIELDS))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         rows = [
-            {f: (getattr(r, f) if not isinstance(getattr(r, f), float) else float(f"{getattr(r, f):.12g}")) for f in CSV_FIELDS}
+            {f: (r[f] if not isinstance(r[f], float) else float(f"{r[f]:.12g}")) for f in CSV_FIELDS}
             for r in records
         ]
         text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     else:  # table
-        cells = [[_fmt_cell(getattr(r, f)) for f in CSV_FIELDS] for r in records]
+        cells = [[_fmt_cell(r[f]) for f in CSV_FIELDS] for r in records]
         widths = [
             max(len(CSV_FIELDS[i]), *(len(row[i]) for row in cells)) if cells else len(CSV_FIELDS[i])
             for i in range(len(CSV_FIELDS))
@@ -200,7 +168,7 @@ def cmd_sum(args) -> int:
     q = F.q
     value, scale, code = None, 1, 0  # value is scale * IK, at conductor p
     if args.path in ("brute", "both"):
-        value = inverted_kloosterman_brute(F, n, b, args.budget).value
+        value = inverted_kloosterman_brute(F, n, b, args.budget)
         print(f"brute IK_{n}({q}, {b.serialize()}) = {json.dumps(value.to_dict())}")
     if args.path in ("formula", "both"):
         z_p = scaled_ik_at_p(F, n, b)
@@ -219,10 +187,9 @@ def cmd_sum(args) -> int:
         c, err = embed_complex(value, j)
         c /= scale
         print(f"embedding j={j}: {c.real:.12g}{c.imag:+.12g}i (err <= {err:.3g})")
-    deg = degree_of(value)
-    poly = min_poly(value)
+    poly = min_poly(value)  # asserts that its degree is the orbit size
     label = "IK" if scale == 1 else f"{scale}*IK"
-    print(f"degree({label}) = {deg}")
+    print(f"degree({label}) = {poly.degree}")
     print(f"minpoly({label}) = {list(poly.coeffs)}")
     return code
 

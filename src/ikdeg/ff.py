@@ -7,7 +7,7 @@ character evaluations are O(1) lookups. Designed for desk-scale q.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclo import IntPoly, prime_factors
 from .errors import FieldMismatch, InvalidParameters, InversionOfZero, LogOfZero
@@ -314,16 +314,26 @@ class Field:
             raise LogOfZero("discrete log of zero")
         return self.dlog_table[x.coeffs]
 
-    def trace(self, x: FieldElt) -> int:
-        """Tr(x) = x + x^p + ... + x^(p^(k-1)), as a residue mod p."""
-        x = self.elt(x)
-        acc = x
-        t = x
+    def _frobenius_trace(self, coeffs) -> int:
+        """x + x^p + ... + x^(p^(k-1)), as a residue mod p."""
+        acc = list(coeffs)
+        t = coeffs
         for _ in range(self.k - 1):
-            t = FieldElt(self, self._pow_raw(t.coeffs, self.p))
-            acc = acc + t
-        assert all(c == 0 for c in acc.coeffs[1:]), "trace not in prime field"
-        return acc.coeffs[0]
+            t = self._pow_raw(t, self.p)
+            acc = [(a + c) % self.p for a, c in zip(acc, t)]
+        assert all(c == 0 for c in acc[1:]), "trace not in prime field"
+        return acc[0]
+
+    @cached_property
+    def _basis_traces(self):
+        """Tr(alpha^i) for i < k, alpha the root of the modulus."""
+        return [self._frobenius_trace([int(i == j) for j in range(self.k)]) for i in range(self.k)]
+
+    def trace(self, x: FieldElt) -> int:
+        """Tr(x) as a residue mod p. The trace is F_p-linear, so it is read
+        off the traces of the basis powers alpha^i."""
+        x = self.elt(x)
+        return sum(c * t for c, t in zip(x.coeffs, self._basis_traces)) % self.p
 
     def __repr__(self):
         if self.k == 1:

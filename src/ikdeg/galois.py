@@ -6,20 +6,10 @@ the size of its conjugate orbit; no factorization is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .charsum import scaled_ik_at_p
+from .charsum import _check_ik_args, scaled_ik_at_p
 from .cyclo import CycInt, IntPoly, galois_apply
 from .errors import NonIntegerCoefficients, WrongConductor, ZeroParameter
 from .ff import Field, is_prime
-
-
-@dataclass(frozen=True)
-class OrbitReport:
-    base: CycInt
-    conjugates: tuple[CycInt, ...]  # indexed by a = 1 .. p-1
-    distinct_count: int
-    stabilizer_order: int
 
 
 def _require_prime_conductor(z: CycInt) -> int:
@@ -28,18 +18,17 @@ def _require_prime_conductor(z: CycInt) -> int:
     return z.m
 
 
-def conjugate_set(z: CycInt) -> OrbitReport:
-    """All sigma_a images of z for a in F_p^*, with distinctness counts."""
+def conjugate_set(z: CycInt) -> tuple[CycInt, ...]:
+    """The images sigma_a(z) for a = 1 .. p-1, in that order."""
     p = _require_prime_conductor(z)
-    conjugates = tuple(galois_apply(z, a) for a in range(1, p))
-    distinct = len({c.canonical() for c in conjugates})
-    assert (p - 1) % distinct == 0
-    return OrbitReport(z, conjugates, distinct, (p - 1) // distinct)
+    return tuple(galois_apply(z, a) for a in range(1, p))
 
 
 def degree_of(z: CycInt) -> int:
     """Degree of z over Q (orbit size under Gal(Q(zeta_p)/Q))."""
-    return conjugate_set(z).distinct_count
+    distinct = len({c.canonical() for c in conjugate_set(z)})
+    assert (z.m - 1) % distinct == 0
+    return distinct
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -59,7 +48,7 @@ def min_poly(z: CycInt) -> IntPoly:
     d - 1 products, where expanding the orbit product costs about d^2/2.
     """
     p = _require_prime_conductor(z)
-    d = conjugate_set(z).distinct_count
+    d = degree_of(z)
     h = (p - 1) // d
     powers = [z]
     for _ in range(d - 1):
@@ -80,9 +69,7 @@ def min_poly(z: CycInt) -> IntPoly:
 def equivariance_check(F: Field, n: int, b, a: int) -> bool:
     """sigma_a(IK_n(q, b)) == IK_n(q, b * a^-(n+1)), checked exactly in
     scaled form at conductor p."""
-    b = F.elt(b)
-    if b.is_zero():
-        raise ZeroParameter("parameter b must be nonzero")
+    b = _check_ik_args(F, n, b)
     if a % F.p == 0:
         raise ZeroParameter("Galois index a must be a unit of F_p")
     a %= F.p
@@ -99,7 +86,6 @@ def ik_degree(F: Field, n: int, b) -> int:
 
 
 __all__ = [
-    "OrbitReport",
     "conjugate_set",
     "degree_of",
     "min_poly",

@@ -9,13 +9,13 @@ main-term case analysis for differences of Galois conjugates live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from . import kernels
-from .charsum import CharSpec, gauss_sum, scaled_ik_at_p
+from .charsum import gauss_sum, scaled_ik_at_p
 from .cyclo import CycInt
 from .errors import (
     DegenerateIndex,
@@ -275,7 +275,7 @@ def stickelberger_check(p: int, m: int, prec: int | None = None):
         raise InvalidParameters("need 0 <= m <= p-2")
     if prec is None:
         prec = default_precision(p)
-    g = gauss_sum(CharSpec(get_field(p), m))
+    g = gauss_sum(get_field(p), m)
     observed = _certified_valuation(embed_cyclotomic(g, p, prec))
     predicted = sigma_digit_sum(m, p)
     return predicted, observed, predicted == observed
@@ -292,20 +292,13 @@ def valuation_formulas(p: int, n: int, m: int):
     return Fraction(w, p - 1), w
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    p: int
-    n: int
-    b: int
-    a: int
-    case_label: str  # "I" | "II" | "III" | "trivial" | "stabilized"
-    h: int | None
-    k: int | None  # Case I only
-    m_star: int | None  # Case I only
-    predicted_valuation: int | None
-    observed_valuation: int | None
-    boundary_flagged: bool
-    ok: bool
+# case_label is "I", "II", "III", "trivial" or "stabilized"; k and m_star
+# are set in Case I only.
+CaseReport = namedtuple(
+    "CaseReport",
+    "p n b a case_label h k m_star predicted_valuation observed_valuation"
+    " boundary_flagged ok",
+)
 
 
 @lru_cache(maxsize=4096)

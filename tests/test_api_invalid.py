@@ -8,6 +8,7 @@ from ikdeg import (
     bounds_check,
     case_analysis,
     default_precision,
+    equivariance_check,
     get_field,
     ik_degree,
     ik_formula_scaled,
@@ -28,6 +29,10 @@ API = {
     "scaled_ik_at_p": (("p", "n", "b"), lambda p, n, b: scaled_ik_at_p(get_field(p), n, b)),
     "bounds_check": (("p", "n", "b"), lambda p, n, b: bounds_check(get_field(p), n, b)),
     "ik_degree": (("p", "n", "b"), lambda p, n, b: ik_degree(get_field(p), n, b)),
+    "equivariance_check": (
+        ("p", "n", "b", "a"),
+        lambda p, n, b, a: equivariance_check(get_field(p), n, b, a),
+    ),
     "zeta_p_padic": (("p", "prec"), zeta_p_padic),
     "teichmuller": (("p", "a", "prec"), teichmuller),
     "stickelberger_check": (("p", "m", "prec"), stickelberger_check),
@@ -78,6 +83,10 @@ def invalid_call(draw):
 # trivial cases read no digit, so only the up-front check catches the precision
 @example(("case_analysis", case_analysis, {"p": 3, "n": 1, "b": 1, "a": 2, "prec": 1}))
 @example(("case_analysis", case_analysis, {"p": 2, "n": 1, "b": 1, "a": 1, "prec": 0}))
+# one argument at fault each: n <= 0, b = 0 mod p, a = 0 mod p
+@example(("equivariance_check", API["equivariance_check"][1], {"p": 7, "n": 0, "b": 1, "a": 2}))
+@example(("equivariance_check", API["equivariance_check"][1], {"p": 7, "n": 1, "b": 14, "a": 2}))
+@example(("equivariance_check", API["equivariance_check"][1], {"p": 7, "n": 1, "b": 1, "a": -7}))
 def test_invalid_input_raises_library_error(call):
     name, fn, args = call
     with pytest.raises(IKDegError):

@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 from ikdeg import (
-    CharSpec,
     CycInt,
     additive_char,
     bounds_check,
     change_conductor,
+    embed_complex,
     gauss_sum,
     get_field,
     ik_formula_scaled,
@@ -26,7 +26,7 @@ from ikdeg import (
 from ikdeg.charsum import _brute_distribution, _character_terms, _relabel
 from ikdeg.errors import BudgetExceeded, CharAtZero, ZeroParameter
 from ikdeg.ff import is_prime
-from ikdeg.suites import DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
+from ikdeg.suites import BOUND_SLACK, DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,21 +42,21 @@ def test_additive_char():
 
 def test_mult_char_values_and_homomorphism():
     F = get_field(7)
-    chi = CharSpec(F, 2)
-    assert mult_char(chi, F.one) == CycInt.from_int(6, 1)
+    assert mult_char(F, 2, F.one) == CycInt.from_int(6, 1)
     for x in F.units():
         for y in F.units():
-            assert mult_char(chi, x * y) == mult_char(chi, x) * mult_char(chi, y)
+            assert mult_char(F, 2, x * y) == mult_char(F, 2, x) * mult_char(F, 2, y)
     with pytest.raises(CharAtZero):
-        mult_char(chi, F.zero)
+        mult_char(F, 2, F.zero)
 
 
 def test_gauss_sum_trivial_char():
     # G(chi_triv) = sum over units of psi(x) = -1
     for p, k in ((5, 1), (7, 1), (3, 2)):
         F = get_field(p, k)
-        g = gauss_sum(CharSpec(F, 0))
+        g = gauss_sum(F, 0)
         assert g == CycInt.from_int(g.m, -1)
+        assert gauss_sum(F, F.q - 1) is g  # m is read mod q-1, one cache entry
 
 
 def test_gauss_sum_norm():
@@ -66,7 +66,7 @@ def test_gauss_sum_norm():
         q1 = F.q - 1
         dneg1 = F.dlog(F.elt(-1))
         for m in range(1, q1):
-            lhs = gauss_sum(CharSpec(F, m)) * gauss_sum(CharSpec(F, q1 - m))
+            lhs = gauss_sum(F, m) * gauss_sum(F, q1 - m)
             chi_neg1 = CycInt.monomial(F.p * q1, F.p * ((-m * dneg1) % q1))
             assert lhs == chi_neg1 * CycInt.from_int(F.p * q1, F.q)
 
@@ -135,22 +135,22 @@ def test_kloosterman_brute_examples():
     # K_1(5, 1) = sum_x zeta_5^(x + 1/x): x + 1/x takes values 2, 0, 0, 3
     F = get_field(5)
     kv = kloosterman_brute(F, 1, F.one)
-    assert kv.scale == 1
-    assert kv.value == CycInt(5, [2, 0, 1, 1, 0])
+    assert kv.m == 5
+    assert kv == CycInt(5, [2, 0, 1, 1, 0])
 
 
 def test_inverted_vs_formula_small():
     # frozen anchor: q(q-1) IK_1(3, 1) = -6 and IK_1(3, 2) = 0
     F = get_field(3)
     v1 = ik_formula_scaled(F, 1, F.elt(1))
-    assert v1.scale == 6
-    assert v1.value == CycInt.from_int(6, -6)
+    assert v1.m == 3 * 2  # conductor p(q-1)
+    assert v1 == CycInt.from_int(6, -6)
     v2 = ik_formula_scaled(F, 1, F.elt(2))
-    assert v2.value.is_zero()
+    assert v2.is_zero()
     for b in F.units():
         brute = inverted_kloosterman_brute(F, 1, b)
         formula = ik_formula_scaled(F, 1, b)
-        assert change_conductor(formula.scale * brute.value, formula.value.m) == formula.value
+        assert change_conductor(6 * brute, formula.m) == formula
 
 
 def test_formula_matches_brute_extension_field():
@@ -158,14 +158,14 @@ def test_formula_matches_brute_extension_field():
     for b in F.units():
         brute = inverted_kloosterman_brute(F, 2, b)
         formula = ik_formula_scaled(F, 2, b)
-        assert change_conductor(formula.scale * brute.value, formula.value.m) == formula.value
+        assert change_conductor(F.q * (F.q - 1) * brute, formula.m) == formula
 
 
 def test_scaled_ik_at_p_conductor():
     F = get_field(5)
     z = scaled_ik_at_p(F, 1, F.one)
     assert z.m == 5
-    assert 20 * inverted_kloosterman_brute(F, 1, F.one).value == z
+    assert 20 * inverted_kloosterman_brute(F, 1, F.one) == z
     # memoised per (n, b) on the field
     assert scaled_ik_at_p(F, 1, 1) is z
     assert scaled_ik_at_p(F, 2, 1) is not z
@@ -192,17 +192,18 @@ def test_budget_and_zero_guards():
 
 def test_bounds_report():
     F = get_field(7)
-    rep = bounds_check(F, 1, F.one)
-    assert rep.q == 7 and rep.n == 1
-    assert rep.second_applicable  # p does not divide n+1 = 2
-    assert len(rep.embeddings) == 6
-    assert rep.ok()
-    assert rep.bound1_lhs_max <= 7.0**1.0 + 1e-9
+    lhs1, rhs1, lhs2, rhs2 = bounds_check(F, 1, F.one)
+    assert rhs1 == 7.0**1.0  # q^((n+1)/2) for q = 7, n = 1
+    assert lhs2 is not None and rhs2 is not None  # p does not divide n+1 = 2
+    # lhs1 is the maximum over the six embeddings j = 1 .. p-1
+    z = scaled_ik_at_p(F, 1, F.one)
+    assert lhs1 == max(abs(embed_complex(z, j)[0] / (7 * 6) + 6 / 7) for j in range(1, 7))
+    assert lhs1 <= rhs1 + BOUND_SLACK and lhs2 <= rhs2 + BOUND_SLACK
+    assert lhs1 <= 7.0**1.0 + 1e-9
     # second estimate inapplicable when p | n+1
-    rep2 = bounds_check(get_field(3), 2, 1)
-    assert not rep2.second_applicable
-    assert rep2.bound2_lhs_max is None
-    assert rep2.ok()
+    lhs1, rhs1, lhs2, rhs2 = bounds_check(get_field(3), 2, 1)
+    assert lhs2 is None and rhs2 is None
+    assert lhs1 <= rhs1 + BOUND_SLACK
 
 
 def _per_character_terms(F, n):
@@ -211,8 +212,8 @@ def _per_character_terms(F, n):
     dneg1 = F.dlog(F.elt(-1)) if F.q > 2 else 0
     terms = []
     for m in range(1, q1):
-        g_pow = gauss_sum(CharSpec(F, m)) ** (n + 1)
-        g_sq = gauss_sum(CharSpec(F, (-m * (n + 1)) % q1))
+        g_pow = gauss_sum(F, m) ** (n + 1)
+        g_sq = gauss_sum(F, (-m * (n + 1)) % q1)
         sign_exp = p * ((-m * (n + 1) * dneg1) % q1)  # chi^(n+1)(-1)
         terms.append(((g_sq * g_sq) * g_pow).shifted(sign_exp))
     return terms
@@ -248,6 +249,6 @@ def test_scaled_ik_at_p_matches_lowered_formula():
             for b in F.units():
                 z = scaled_ik_at_p(F, n, b)
                 assert z.m == p
-                assert z.coeffs == lower_conductor(ik_formula_scaled(F, n, b).value, p).coeffs, (F.q, n, b)
+                assert z.coeffs == lower_conductor(ik_formula_scaled(F, n, b), p).coeffs, (F.q, n, b)
                 checked += 1
     assert checked == 1328 + 3 + 3 * 3 + 7 * 3  # the two grids, then q = 2, 4, 8 with n <= 3

@@ -57,6 +57,20 @@ def test_python_dash_m_entry_point():
     assert "degree(20*IK) = 2" in proc.stdout
 
 
+def test_cli_import_leaves_out_dataclasses():
+    script = (
+        "import sys\n"
+        "before = 'dataclasses' in sys.modules\n"
+        "import ikdeg.cli\n"
+        "assert before or 'dataclasses' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_stickelberger_single(capsys):
     code, out, _ = run_cli(capsys, "verify", "stickelberger", "--p", "7")
     assert code == 0
@@ -93,7 +107,7 @@ def test_sum_formula_line_is_the_wide_formula(capsys, p, k):
     for n in (1, 2):
         code, out, _ = run_cli(capsys, "sum", "--p", str(p), "--k", str(k), "--n", str(n), "--b", b)
         assert code == 0
-        want = ik_formula_scaled(F, n, F.generator).value.reduced().to_dict()
+        want = ik_formula_scaled(F, n, F.generator).reduced().to_dict()
         assert out.splitlines()[0] == f"formula {q * (q - 1)}*IK_{n}({q}, {b}) = {json.dumps(want)}"
 
 

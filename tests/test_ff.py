@@ -7,6 +7,7 @@ from ikdeg.errors import (
     InversionOfZero,
     LogOfZero,
 )
+from ikdeg.charsum import _trace_table
 from ikdeg.ff import Field
 
 
@@ -72,6 +73,38 @@ def test_trace_linearity_and_frobenius():
     for x in F9.elements():
         for c in range(3):
             assert F9.trace(F9.elt(c) * x) == (c * F9.trace(x)) % 3
+
+
+def test_trace_equals_frobenius_sum():
+    """Oracle: x + x^p + ... + x^(p^(k-1)), by the field's own arithmetic."""
+    # q = 4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125
+    for p, k in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6), (3, 4), (5, 3)):
+        F = get_field(p, k)
+        for x in F.elements():
+            acc, t = x, x
+            for _ in range(k - 1):
+                t = t**p
+                acc = acc + t
+            assert all(c == 0 for c in acc.coeffs[1:])
+            assert F.trace(x) == acc.coeffs[0], (F.q, x)
+
+
+def test_trace_table_needs_k_squared_frobenius_powers():
+    """The trace is F_p-linear: the table takes the k basis traces, each a
+    sum of k-1 Frobenius powers, and no power per element."""
+    F = Field(2, 12)  # fresh, not the shared get_field instance
+    calls = []
+    pow_raw = F._pow_raw
+
+    def counted(a, e):
+        calls.append(e)
+        return pow_raw(a, e)
+
+    F._pow_raw = counted
+    table = _trace_table(F)
+    assert len(table) == 4096
+    assert len(calls) <= 12**2
+    assert sum(table.values()) == 2048  # Tr is onto F_2, so half the elements have trace 1
 
 
 def test_primitive_roots():
