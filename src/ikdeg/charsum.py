@@ -15,19 +15,11 @@ everything stays inside a ring with decidable equality.
 
 from __future__ import annotations
 
-from .cyclo import CycInt, embed_complex
+from .cyclo import CycInt, embed_complex, map_exponents
 from .errors import BudgetExceeded, CharAtZero, ZeroParameter
 from .ff import Field, FieldElt
 
 DEFAULT_BUDGET = 2_000_000
-
-
-def _trace_table(F: Field):
-    tbl = F._cache.get("trace_table")
-    if tbl is None:
-        tbl = {e.coeffs: F.trace(e) for e in F.elements()}
-        F._cache["trace_table"] = tbl
-    return tbl
 
 
 def additive_char(F: Field, x) -> CycInt:
@@ -41,14 +33,14 @@ def mult_char(F: Field, m: int, x) -> CycInt:
     x = F.elt(x)
     if x.is_zero():
         raise CharAtZero("multiplicative character at zero")
-    q1 = max(F.q - 1, 1)
+    q1 = F.q - 1
     return CycInt.monomial(q1, (-m * F.dlog(x)) % q1)
 
 
 def gauss_sum(F: Field, m: int) -> CycInt:
     """G(chi) = sum over x != 0 of chi(x) psi(x) for chi = omega^(-m), m
     read mod q-1, at conductor p(q-1)."""
-    q1 = max(F.q - 1, 1)
+    q1 = F.q - 1
     m %= q1
     key = ("gauss", m)
     cached = F._cache.get(key)
@@ -56,11 +48,10 @@ def gauss_sum(F: Field, m: int) -> CycInt:
         return cached
     p = F.p
     big_m = p * q1
-    tr = _trace_table(F)
     out = [0] * big_m
-    for j in range(F.q - 1 if F.q > 2 else 1):
+    for j in range(q1):
         # zeta_{q-1} = zeta_M^p, zeta_p = zeta_M^(q-1)
-        e = (p * ((-m * j) % q1) + q1 * tr[F.pow_of_generator(j).coeffs]) % big_m
+        e = (p * ((-m * j) % q1) + q1 * F.trace(F.pow_of_generator(j))) % big_m
         out[e] += 1
     g = CycInt(big_m, out)
     F._cache[key] = g
@@ -113,7 +104,7 @@ def _brute_distribution(F: Field, n: int, b) -> dict:
     count at most 2n (q-1)^n additions: the tuple budget bounds the work.
     Only dlog and field addition enter: no character or cyclotomic value.
     """
-    q1 = max(F.q - 1, 1)
+    q1 = F.q - 1
     neg_one = F.dlog(F.elt(-1))
     # 1 - g^c = g^(log_one_minus[c]) for c != 0
     log_one_minus = [F.dlog(F.one - F.pow_of_generator(c)) for c in range(1, q1)]
@@ -138,10 +129,9 @@ def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> CycI
     """K_n(q, b) at conductor p, from the counts of unit tuples by sum
     (_brute_distribution)."""
     b = _enumeration_guard(F, n, b, budget)
-    tr = _trace_table(F)
     counts = [0] * F.p
     for s, count in _brute_distribution(F, n, b).items():
-        counts[tr[s]] += count
+        counts[F.trace(s)] += count
     return CycInt(F.p, counts)
 
 
@@ -151,11 +141,10 @@ def inverted_kloosterman_brute(
     """IK_n(q, b) at conductor p, from the counts of unit tuples by sum;
     the empty sum is 0."""
     b = _enumeration_guard(F, n, b, budget)
-    tr = _trace_table(F)
     counts = [0] * F.p
     for s, count in _brute_distribution(F, n, b).items():
         if any(s):
-            counts[tr[F.elt(s).inverse().coeffs]] += count
+            counts[F.trace(F.elt(s).inverse())] += count
     return CycInt(F.p, counts)
 
 
@@ -167,14 +156,8 @@ def _relabel(z: CycInt, p: int, s: int) -> CycInt:
     Z[x]/(x^(p(q-1)) - 1) for every s, even when gcd(s, q-1) > 1:
     exponents that collide just add their coefficients.
     """
-    big_m = z.m
-    q1 = big_m // p
-    k = 1 + p * ((s - 1) * pow(p, -1, q1) % q1)
-    out = [0] * big_m
-    for e, c in enumerate(z.coeffs):
-        if c:
-            out[k * e % big_m] += c
-    return CycInt(big_m, out)
+    q1 = z.m // p
+    return map_exponents(z, 1 + p * ((s - 1) * pow(p, -1, q1) % q1), z.m)
 
 
 def _character_terms(F: Field, n: int) -> CycInt:
@@ -226,12 +209,10 @@ def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:
     if cached is None:
         p, q1 = F.p, F.q - 1
         big_m = p * q1
-        t = _character_terms(F, n).coeffs
-        a_mul = pow(q1, -1, p)
-        rho0 = [0] * p  # rho_0(T_b) = rho_0(T): zeta_{q-1} -> 1
-        for e, c in enumerate(t):
-            if c:
-                rho0[e * a_mul % p] += c
+        term = _character_terms(F, n)
+        # rho_0(T_b) = rho_0(T): zeta_{q-1} -> 1, so zeta_{p(q-1)}^e -> zeta_p^(e/(q-1))
+        rho0 = map_exponents(term, pow(q1, -1, p), p).coeffs
+        t = term.coeffs
         # T_b is free of zeta_{q-1} where T has zeta_{q-1}^(-dlog b)
         row = p * (-F.dlog(b) % q1)
         out = [q1 * t[(q1 * a + row) % big_m] - r for a, r in enumerate(rho0)]
@@ -246,16 +227,15 @@ def s1_identity_check(F: Field, n: int) -> bool:
     and compare it with -(q-1)^(n+1)."""
     if n < 1:
         raise ZeroParameter("dimension n must be >= 1")
-    p, q1 = F.p, max(F.q - 1, 1)
+    p, q1 = F.p, F.q - 1
     big_m = p * q1
-    tr = _trace_table(F)
     lam_sum = CycInt.zero(big_m)
     for lam in F.units():
-        lam_sum = lam_sum + CycInt.monomial(big_m, q1 * tr[lam.inverse().coeffs])
+        lam_sum = lam_sum + CycInt.monomial(big_m, q1 * F.trace(lam.inverse()))
     chi_sum = CycInt.zero(big_m)
     for mi in range(q1):
         inner = [0] * big_m
-        for j in range(F.q - 1 if F.q > 2 else 1):
+        for j in range(q1):
             inner[(p * ((-mi * j) % q1)) % big_m] += 1
         chi_sum = chi_sum + CycInt(big_m, inner) ** (n + 1)
     return lam_sum * chi_sum == CycInt.from_int(big_m, -(q1 ** (n + 1)))
@@ -276,7 +256,7 @@ def bounds_check(F: Field, n: int, b):
     shift1 = (q - 1) ** n / q
     shift2 = ((q - 1) ** n - (-1) ** n * (q + 1)) / q if second else None
     lhs1s, lhs2s = [], []
-    for j in range(1, F.p) if F.p > 2 else [1]:
+    for j in range(1, F.p):
         c, _err = embed_complex(z, j)
         ik = c / (q * (q - 1))
         lhs1s.append(abs(ik + shift1))

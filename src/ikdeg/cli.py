@@ -183,7 +183,7 @@ def cmd_sum(args) -> int:
             agree = q * (q - 1) * value == z_p
             print(f"paths agree: {agree}")
             code = 0 if agree else 1
-    for j in range(1, F.p) if F.p > 2 else [1]:
+    for j in range(1, F.p):
         c, err = embed_complex(value, j)
         c /= scale
         print(f"embedding j={j}: {c.real:.12g}{c.imag:+.12g}i (err <= {err:.3g})")

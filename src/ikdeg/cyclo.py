@@ -9,6 +9,7 @@ cyclotomic polynomial happens lazily, on equality tests and output.
 from __future__ import annotations
 
 import cmath
+import operator
 import sys
 from functools import lru_cache
 from math import gcd
@@ -51,32 +52,6 @@ class IntPoly:
     def __hash__(self):
         return hash(("IntPoly", self.coeffs))
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntPoly(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
-
-    def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntPoly(
-            [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-        )
-
-    def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return IntPoly()
-        return IntPoly(kernels.linear_convolve(list(self.coeffs), list(other.coeffs)))
-
-    __rmul__ = __mul__
-
     def __divmod__(self, other):
         """Exact polynomial division over Z; every elimination step must divide."""
         if other.is_zero():
@@ -96,9 +71,6 @@ class IntPoly:
             for i, dc in enumerate(other.coeffs):
                 rem[top - ddeg + i] -= q * dc
         return IntPoly(quo), IntPoly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -126,6 +98,20 @@ class IntPoly:
             else:
                 terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "IntPoly(" + " + ".join(terms) + ")"
+
+
+def power(x, e: int, one, mul):
+    """x**e for e >= 0 by square-and-multiply in the ring with product mul
+    and identity one. It starts from x, not from one, so e >= 1 costs
+    floor(log2 e) + popcount(e) - 1 products."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one if result is None else result
 
 
 def prime_factors(n: int) -> list[int]:
@@ -294,14 +280,7 @@ class CycInt:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative powers are not defined in Z[zeta_m]")
-        result = CycInt.from_int(self.m, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power(self, e, CycInt.from_int(self.m, 1), operator.mul)
 
     def shifted(self, e):
         """Multiplication by the monomial zeta_m^e (a cyclic rotation)."""
@@ -340,27 +319,31 @@ class CycInt:
         return cls(d["m"], d["coeffs"])
 
 
+def map_exponents(z: CycInt, k: int, big_m: int) -> CycInt:
+    """The group-ring map zeta_m -> zeta_M^k: coefficient e moves to k*e mod M.
+
+    It is a ring map Z[x]/(x^m - 1) -> Z[x]/(x^M - 1) when M divides k*m;
+    exponents that collide add their coefficients.
+    """
+    out = [0] * big_m
+    for e, c in enumerate(z.coeffs):
+        if c:
+            out[k * e % big_m] += c
+    return CycInt(big_m, out)
+
+
 def galois_apply(z: CycInt, a: int) -> CycInt:
     """Apply zeta_m -> zeta_m^a; requires gcd(a, m) = 1."""
     if gcd(a, z.m) != 1:
         raise NonCoprimeIndex(f"gcd({a}, {z.m}) != 1")
-    out = [0] * z.m
-    for i, c in enumerate(z.coeffs):
-        if c:
-            out[(a * i) % z.m] += c
-    return CycInt(z.m, out)
+    return map_exponents(z, a, z.m)
 
 
 def change_conductor(z: CycInt, big_m: int) -> CycInt:
     """Re-embed z into Z[zeta_M] for a multiple conductor M."""
     if big_m % z.m != 0:
         raise ConductorMismatch(f"{z.m} does not divide {big_m}")
-    step = big_m // z.m
-    out = [0] * big_m
-    for i, c in enumerate(z.coeffs):
-        if c:
-            out[i * step] += c
-    return CycInt(big_m, out)
+    return map_exponents(z, big_m // z.m, big_m)
 
 
 def lower_conductor(z: CycInt, d: int) -> CycInt:

@@ -56,6 +56,10 @@ class PrecisionTooLow(IKDegError):
 class PrecisionExhausted(IKDegError):
     """No nonzero pi-adic digit lies below the certified truncation order."""
 
+    def __init__(self, prec: int, exact: int):
+        super().__init__(f"no nonzero digit below {exact} (prec {prec})")
+        self.prec = prec
+
 
 class UnsupportedConductor(IKDegError):
     """Conductor does not divide p*(p-1) in the p-adic embedding."""

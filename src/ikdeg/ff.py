@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .cyclo import IntPoly, prime_factors
+from .cyclo import IntPoly, power, prime_factors
 from .errors import FieldMismatch, InvalidParameters, InversionOfZero, LogOfZero
 
 
@@ -60,15 +60,7 @@ def _pmod(a, mod, p):
 
 
 def _ppowmod(a, e, mod, p):
-    result = [1]
-    base = _pmod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        e >>= 1
-        if e:
-            base = _pmulmod(base, base, mod, p)
-    return result
+    return power(_pmod(a, mod, p), e, [1], lambda x, y: _pmulmod(x, y, mod, p))
 
 
 def _pgcd(a, b, p):
@@ -164,7 +156,7 @@ class FieldElt:
         if self.is_zero():
             raise InversionOfZero("inverse of zero")
         F = self.field
-        return F.pow_of_generator(-F.dlog_table[self.coeffs] % max(F.q - 1, 1))
+        return F.pow_of_generator(-F.dlog_table[self.coeffs] % (F.q - 1))
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -180,8 +172,6 @@ class FieldElt:
             if e == 0:
                 return F.one
             raise InversionOfZero("negative power of zero")
-        if F.q == 2:
-            return self  # the unit group is trivial
         j = F.dlog_table[self.coeffs]
         return F.pow_of_generator((j * e) % (F.q - 1))
 
@@ -268,26 +258,18 @@ class Field:
 
     # -- generator and discrete logs -------------------------------------
 
-    def _mul_raw(self, a, b):
-        red = _pmulmod(a, b, self._mod_coeffs, self.p)
+    def _pad(self, red):
         return tuple(red + [0] * (self.k - len(red)))
 
+    def _mul_raw(self, a, b):
+        return self._pad(_pmulmod(a, b, self._mod_coeffs, self.p))
+
     def _pow_raw(self, a, e):
-        result = tuple([1] + [0] * (self.k - 1))
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, base)
-            e >>= 1
-            if e:
-                base = self._mul_raw(base, base)
-        return result
+        return self._pad(_ppowmod(a, e, self._mod_coeffs, self.p))
 
     def _find_generator(self) -> FieldElt:
         one = tuple([1] + [0] * (self.k - 1))
         order = self.q - 1
-        if order == 1:
-            return self.one
         factors = prime_factors(order)
         for code in range(1, self.q):
             cand = self.from_encoding(code).coeffs
@@ -299,14 +281,16 @@ class Field:
         self.dlog_table = {}
         self._pow_table = []
         acc = tuple([1] + [0] * (self.k - 1))
-        g = self.generator.coeffs
-        for j in range(max(self.q - 1, 1)):
+        # g comes early in encoding order, so its top coordinates are zero;
+        # trimmed, a step costs O(k) per coordinate left, not O(k^2)
+        g = _ptrim(list(self.generator.coeffs))
+        for j in range(self.q - 1):
             self.dlog_table[acc] = j
             self._pow_table.append(FieldElt(self, acc))
             acc = self._mul_raw(acc, g)
 
     def pow_of_generator(self, j: int) -> FieldElt:
-        return self._pow_table[j % max(self.q - 1, 1)]
+        return self._pow_table[j % (self.q - 1)]
 
     def dlog(self, x: FieldElt) -> int:
         x = self.elt(x)

@@ -9,14 +9,14 @@ main-term case analysis for differences of Galois conjugates live here.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from . import kernels
 from .charsum import gauss_sum, scaled_ik_at_p
-from .cyclo import CycInt
+from .cyclo import CycInt, power
 from .errors import (
     DegenerateIndex,
     DegenerateParameters,
@@ -31,7 +31,8 @@ from .ff import get_field, is_prime
 
 
 def default_precision(p: int) -> int:
-    """Default pi-digit count; covers every in-scope predicted valuation."""
+    """Default pi-digit count; case_analysis raises it to W + p when the
+    predicted valuation W needs more."""
     return 4 * (p - 1) + 8
 
 
@@ -125,15 +126,7 @@ class PadicElt:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative powers not supported")
-        result = PadicElt.one(self.p, self.prec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, PadicElt.one(self.p, self.prec), operator.mul)
 
     def __eq__(self, other):
         return (
@@ -203,14 +196,14 @@ def zeta_p_padic(p: int, prec: int) -> PadicElt:
 def _embed_table(p: int, prec: int):
     """The powers zeta_p^alpha (alpha < p) and T^beta (beta < p-1), T the
     Teichmuller lift of the canonical generator of F_p^*."""
-    g = get_field(p).generator.coeffs[0] if p > 2 else 1
+    g = get_field(p).generator.coeffs[0]
     z = zeta_p_padic(p, prec)
     t = teichmuller(p, g, prec)
     zpow = [PadicElt.one(p, prec)]
     for _ in range(p - 1):
         zpow.append(zpow[-1] * z)
     tpow = [PadicElt.one(p, prec)]
-    for _ in range(max(p - 2, 0)):
+    for _ in range(p - 2):
         tpow.append(tpow[-1] * t)
     return tuple(zpow), tuple(tpow)
 
@@ -231,7 +224,7 @@ def embed_cyclotomic(z: CycInt, p: int, prec: int) -> PadicElt:
     step = big_m // z.m
     zpow, tpow = _embed_table(p, prec)
     a_mul = pow(p - 1, -1, p)
-    b_mul = pow(p, -1, p - 1) if p > 2 else 0
+    b_mul = pow(p, -1, p - 1)
     rows: dict[int, list[int]] = {}
     for e, c in enumerate(z.coeffs):
         if c:
@@ -254,7 +247,7 @@ def _certified_valuation(x: PadicElt) -> int:
     exact = x.prec - x.p + 1
     v = x.pi_valuation
     if v is None or v >= exact:
-        raise PrecisionExhausted(f"no nonzero digit below {exact} (prec {x.prec})")
+        raise PrecisionExhausted(x.prec, exact)
     return v
 
 
@@ -281,15 +274,15 @@ def stickelberger_check(p: int, m: int, prec: int | None = None):
     return predicted, observed, predicted == observed
 
 
-def valuation_formulas(p: int, n: int, m: int):
-    """(V(m), W(m)) for the character-term valuations; W = (p-1)*V."""
+def valuation_formulas(p: int, n: int, m: int) -> int:
+    """W(m) = (n+1)m + 2t, t = -(n+1)m mod p-1: the predicted pi-adic
+    valuation of the character term for omega^(-m)."""
     if not 1 <= m <= p - 2:
         raise DegenerateIndex("need 1 <= m <= p-2")
     if ((n + 1) * m) % (p - 1) == 0:
         raise DegenerateIndex("(p-1) divides (n+1)m")
     t = (-(n + 1) * m) % (p - 1)
-    w = (n + 1) * m + 2 * t
-    return Fraction(w, p - 1), w
+    return (n + 1) * m + 2 * t
 
 
 # case_label is "I", "II", "III", "trivial" or "stabilized"; k and m_star
@@ -315,7 +308,11 @@ def _exact_difference_zero(p, n, b, a):
 
 def case_analysis(p: int, n: int, b: int, a: int, prec: int | None = None) -> CaseReport:
     """Predicted vs observed main-term valuation of the scaled conjugate
-    difference p(p-1) * (IK_n(b) - IK_n(b a^-(n+1)))."""
+    difference p(p-1) * (IK_n(b) - IK_n(b a^-(n+1))).
+
+    prec defaults to max(default_precision(p), W + p) pi-digits, W the
+    predicted valuation, so that the certified digits reach W.
+    """
     if not is_prime(p):
         raise InvalidParameters(f"{p} is not prime")
     if n < 1:
@@ -324,9 +321,7 @@ def case_analysis(p: int, n: int, b: int, a: int, prec: int | None = None) -> Ca
     a %= p
     if b == 0 or a == 0:
         raise ZeroParameter("b and a must be units of F_p")
-    if prec is None:
-        prec = default_precision(p)
-    if prec < 2 * (p - 1):
+    if prec is not None and prec < 2 * (p - 1):
         raise PrecisionTooLow("need at least 2(p-1) digits")
 
     g1 = gcd(n + 1, p - 1)
@@ -349,17 +344,20 @@ def case_analysis(p: int, n: int, b: int, a: int, prec: int | None = None) -> Ca
         m_star = max(
             m for m in range(1, h + 1) if pow(a, ((n + 1) * m) % (p - 1), p) != 1
         )
-        predicted = valuation_formulas(p, n, m_star)[1]
+        predicted = valuation_formulas(p, n, m_star)
     elif 2 * (p - 1) > n + 1:
         label = "II"
         h = (n + 1) % (p - 1)
-        predicted = valuation_formulas(p, n, 1)[1]
+        predicted = valuation_formulas(p, n, 1)
     else:
         # boundary p-1 = (n+1)/2 handled as Case III by convention
         label = "III"
         h = (n + 1) % (p - 1)
-        predicted = valuation_formulas(p, n, 1)[1]
+        predicted = valuation_formulas(p, n, 1)
 
+    if prec is None:
+        # the certified digits, those below prec - p + 1, must reach W
+        prec = max(default_precision(p), predicted + p)
     b2 = (b * pow(a, -(n + 1), p)) % p
     # the embedding is a ring map, so embed each conjugate once and subtract
     diff = _embedded_scaled_ik(p, n, b, prec) - _embedded_scaled_ik(p, n, b2, prec)
@@ -370,13 +368,14 @@ def case_analysis(p: int, n: int, b: int, a: int, prec: int | None = None) -> Ca
 
 
 def run_case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:
-    """case_analysis with the retry contract: double the precision on
-    exhaustion, up to 32(p-1) digits."""
-    prec = default_precision(p)
+    """case_analysis at its default precision, with the retry contract:
+    when no certified digit is nonzero, the observed valuation lies above
+    the prediction, so double the precision, up to 32(p-1) digits."""
+    prec = None
     while True:
         try:
             return case_analysis(p, n, b, a, prec)
-        except PrecisionExhausted:
-            prec *= 2
+        except PrecisionExhausted as exc:
+            prec = 2 * exc.prec
             if prec > 32 * (p - 1):
                 raise

@@ -190,6 +190,19 @@ def test_census_csv(capsys):
         assert cells["predicted_val"] == cells["observed_val"] == "8"
 
 
+def test_census_case_iii_at_large_n(capsys):
+    # W = 63 lies above the digits that the retry cap of 32(p-1) = 64
+    # pi-digits certifies (those below 62)
+    code, out, _ = run_cli(capsys, "census", "--p", "3", "--n", "60")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 3  # header + 2 values of b
+    for row in lines[1:]:
+        cells = dict(zip(CSV_FIELDS, row.split(",")))
+        assert cells["case_label"] == "III"
+        assert cells["predicted_val"] == cells["observed_val"] == "63"
+
+
 def test_census_json(capsys):
     code, out, _ = run_cli(capsys, "census", "--p", "5", "--n", "3", "--format", "json")
     assert code == 0

@@ -15,6 +15,7 @@ from ikdeg import (
     galois_apply,
     lower_conductor,
 )
+from ikdeg import kernels
 from ikdeg.errors import ConductorMismatch, NonCoprimeIndex, WrongConductor
 from ikdeg.ff import is_prime
 
@@ -177,3 +178,26 @@ def test_serialization_roundtrip():
 
 def test_euler_phi():
     assert [euler_phi(m) for m in (1, 2, 6, 12, 30)] == [1, 1, 2, 4, 8]
+
+
+def test_pow_costs_log_plus_popcount_minus_one_products(monkeypatch):
+    calls = []
+    convolve = kernels.cyclic_convolve
+
+    def counted(a, b):
+        calls.append(len(a))
+        return convolve(a, b)
+
+    monkeypatch.setattr(kernels, "cyclic_convolve", counted)
+    z = CycInt.zeta(7)
+    for e, products in ((0, 0), (1, 0), (7, 4)):
+        calls.clear()
+        assert z**e == (CycInt.from_int(7, 1) if e % 7 == 0 else z)
+        assert len(calls) == products, e
+    calls.clear()
+    w = (z + 2) ** 13  # 13 = 0b1101: three squarings, two products
+    assert len(calls) == 5
+    expected = CycInt.from_int(7, 1)
+    for _ in range(13):
+        expected = expected * (z + 2)
+    assert w == expected

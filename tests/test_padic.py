@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -18,6 +17,7 @@ from ikdeg import (
     valuation_formulas,
     zeta_p_padic,
 )
+from ikdeg import kernels
 from ikdeg.errors import (
     DegenerateIndex,
     InvalidParameters,
@@ -194,8 +194,8 @@ def test_stickelberger_examples():
 
 
 def test_valuation_formulas():
-    assert valuation_formulas(7, 1, 1) == (Fraction(5, 3), 10)
-    assert valuation_formulas(7, 1, 2) == (Fraction(4, 3), 8)
+    assert valuation_formulas(7, 1, 1) == 10
+    assert valuation_formulas(7, 1, 2) == 8
     with pytest.raises(DegenerateIndex):
         valuation_formulas(7, 2, 2)  # (n+1)m = 6 divisible by p-1
     with pytest.raises(DegenerateIndex):
@@ -257,3 +257,31 @@ def test_explicit_precision_agrees_with_default():
     rep2 = case_analysis(7, 1, 2, 3, prec=default_precision(7) * 2)
     assert rep1.case_label == rep2.case_label
     assert rep1.observed_valuation == rep2.observed_valuation
+
+
+def test_default_precision_reaches_the_prediction():
+    # Case III predicts W = (n+1) + 2t, which outgrows 32(p-1) digits as n
+    # grows; the default precision certifies digits up to W
+    rep = run_case_analysis(3, 150, 1, 2)
+    assert rep.case_label == "III"
+    assert rep.ok and rep.predicted_valuation == rep.observed_valuation == 153
+
+
+def test_pow_costs_log_plus_popcount_minus_one_products(monkeypatch):
+    calls = []
+    convolve = kernels.linear_convolve
+
+    def counted(a, b):
+        calls.append(len(a))
+        return convolve(a, b)
+
+    monkeypatch.setattr(kernels, "linear_convolve", counted)
+    x = PadicElt.one(7, 20) + PadicElt.monomial(7, 20, 1)
+    for e, products in ((0, 0), (1, 0), (7, 4)):
+        calls.clear()
+        y = x**e
+        assert len(calls) == products, e
+        expected = PadicElt.one(7, 20)
+        for _ in range(e):
+            expected = expected * x
+        assert y == expected
