@@ -40,6 +40,7 @@ from .padic import (
     case_analysis,
     default_precision,
     embed_cyclotomic,
+    exact_valuation,
     run_case_analysis,
     stickelberger_check,
     teichmuller,
@@ -87,6 +88,7 @@ __all__ = [
     "case_analysis",
     "default_precision",
     "embed_cyclotomic",
+    "exact_valuation",
     "run_case_analysis",
     "stickelberger_check",
     "teichmuller",

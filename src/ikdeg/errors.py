@@ -61,6 +61,10 @@ class PrecisionExhausted(IKDegError):
         self.prec = prec
 
 
+class VanishingDifference(IKDegError):
+    """A Case I/II/III conjugate difference is exactly zero."""
+
+
 class UnsupportedConductor(IKDegError):
     """Conductor does not divide p*(p-1) in the p-adic embedding."""
 

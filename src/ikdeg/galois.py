@@ -1,7 +1,8 @@
 """Galois orbits, algebraic degree, and minimal polynomials in Q(zeta_p).
 
 Q(zeta_p)/Q is Galois with group F_p^*, so the degree of an element is
-the size of its conjugate orbit; no factorization is needed.
+the size of its conjugate orbit, (p-1) over the order of its stabiliser;
+no factorization is needed.
 """
 
 from __future__ import annotations
@@ -25,10 +26,18 @@ def conjugate_set(z: CycInt) -> tuple[CycInt, ...]:
 
 
 def degree_of(z: CycInt) -> int:
-    """Degree of z over Q (orbit size under Gal(Q(zeta_p)/Q))."""
-    distinct = len({c.canonical() for c in conjugate_set(z)})
-    assert (z.m - 1) % distinct == 0
-    return distinct
+    """Degree of z over Q (orbit size under Gal(Q(zeta_p)/Q)), read off
+    the stabiliser.
+
+    Representatives of one element differ by a constant vector, and
+    sigma_a moves coefficient e to a*e mod p but fixes index 0, so
+    sigma_a(z) = z iff c_(a*e mod p) = c_e for every e. The degree is
+    (p-1) over the number of such a; no conjugate is built or reduced.
+    """
+    p = _require_prime_conductor(z)
+    c = z.coeffs
+    fixing = sum(1 for a in range(1, p) if all(c[a * e % p] == c[e] for e in range(1, p)))
+    return (p - 1) // fixing
 
 
 def _exact_div(a: int, b: int) -> int:

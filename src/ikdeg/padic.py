@@ -1,10 +1,16 @@
-"""Truncated pi-adic arithmetic in Z_p[pi], pi^(p-1) = -p.
+"""pi-adic valuations in Z[zeta_p], exact and truncated.
 
-Digits are stored base p against powers of pi, with the single carry
-rule p = -pi^(p-1): a carry of c at position i contributes -c at
-position i + p - 1. Teichmuller lifts, the p-adic zeta_p pinned by
-zeta - 1 = pi mod pi^2, Stickelberger valuation checks, and the
-main-term case analysis for differences of Galois conjugates live here.
+The main-term case analysis for differences of Galois conjugates reads
+v_pi exactly off the p integer coefficients of z in Z[zeta_p]
+(`exact_valuation`): Q_p(zeta_p) is totally ramified with uniformiser
+lambda = zeta_p - 1, so no p-adic embedding is needed there.
+
+The truncated arithmetic in Z_p[pi], pi^(p-1) = -p, is the independent
+second route: Stickelberger valuation checks and the tests' oracles run
+on it. Digits are stored base p against powers of pi, with the single
+carry rule p = -pi^(p-1): a carry of c at position i contributes -c at
+position i + p - 1. Teichmuller lifts and the p-adic zeta_p pinned by
+zeta - 1 = pi mod pi^2 live here too.
 """
 
 from __future__ import annotations
@@ -25,14 +31,15 @@ from .errors import (
     PrecisionMismatch,
     PrecisionTooLow,
     UnsupportedConductor,
+    VanishingDifference,
+    WrongConductor,
     ZeroParameter,
 )
 from .ff import get_field, is_prime
 
 
 def default_precision(p: int) -> int:
-    """Default pi-digit count; case_analysis raises it to W + p when the
-    predicted valuation W needs more."""
+    """Default pi-digit count of stickelberger_check."""
     return 4 * (p - 1) + 8
 
 
@@ -251,6 +258,37 @@ def _certified_valuation(x: PadicElt) -> int:
     return v
 
 
+def exact_valuation(z: CycInt) -> int | None:
+    """v_pi(z) for z in Z[zeta_p], p prime, exactly; None when z = 0.
+
+    Representatives of one element differ by a multiple of
+    1 + zeta + ... + zeta^(p-1), so subtracting c_(p-1) leaves the
+    support 0 .. p-2. A Taylor shift at zeta = 1 + lambda then writes
+    z = sum_(k <= p-2) d_k lambda^k with integers d_k. lambda = zeta - 1
+    is a uniformiser (v_pi(lambda) = 1, v_pi(p) = p-1), so the term
+    valuations (p-1) v_p(d_k) + k are pairwise distinct and the least of
+    them is v_pi(z). O(p^2) additions, no precision.
+    """
+    p = z.m
+    if not is_prime(p):
+        raise WrongConductor(f"conductor {p} is not prime")
+    top = z.coeffs[-1]
+    d = [c - top for c in z.coeffs[:-1]]
+    for i in range(p - 2):  # sum d_e (1 + lambda)^e: one Horner pass per lambda-digit
+        for j in range(p - 3, i - 1, -1):
+            d[j] += d[j + 1]
+    best = None
+    for k, dk in enumerate(d):
+        if dk and (best is None or k < best):  # term k has valuation >= k
+            v = k
+            while dk % p == 0:
+                dk //= p
+                v += p - 1
+            if best is None or v < best:
+                best = v
+    return best
+
+
 def sigma_digit_sum(m: int, p: int) -> int:
     s = 0
     while m:
@@ -296,22 +334,20 @@ CaseReport = namedtuple(
 
 @lru_cache(maxsize=4096)
 def _embedded_scaled_ik(p: int, n: int, b: int, prec: int) -> PadicElt:
-    # the conductor-p value: a single embedding row, one normalisation
+    # the truncated route's conductor-p value, for the oracles: one embedding row
     return embed_cyclotomic(scaled_ik_at_p(get_field(p), n, b), p, prec)
-
-
-def _exact_difference_zero(p, n, b, a):
-    F = get_field(p)
-    b2 = (b * pow(a, -(n + 1), p)) % p
-    return scaled_ik_at_p(F, n, b) == scaled_ik_at_p(F, n, b2)
 
 
 def case_analysis(p: int, n: int, b: int, a: int, prec: int | None = None) -> CaseReport:
     """Predicted vs observed main-term valuation of the scaled conjugate
     difference p(p-1) * (IK_n(b) - IK_n(b a^-(n+1))).
 
-    prec defaults to max(default_precision(p), W + p) pi-digits, W the
-    predicted valuation, so that the certified digits reach W.
+    The observed valuation is read exactly in Z[zeta_p] (exact_valuation).
+    A difference that is zero in Case I, II or III raises
+    VanishingDifference. An explicit prec keeps the contract of the
+    truncated p-adic route: PrecisionTooLow below 2(p-1) digits, and
+    PrecisionExhausted when the valuation is at least prec - p + 1, where
+    that route certifies no nonzero digit.
     """
     if not is_prime(p):
         raise InvalidParameters(f"{p} is not prime")
@@ -324,12 +360,15 @@ def case_analysis(p: int, n: int, b: int, a: int, prec: int | None = None) -> Ca
     if prec is not None and prec < 2 * (p - 1):
         raise PrecisionTooLow("need at least 2(p-1) digits")
 
+    F = get_field(p)
+    b2 = (b * pow(a, -(n + 1), p)) % p
+    observed = exact_valuation(scaled_ik_at_p(F, n, b) - scaled_ik_at_p(F, n, b2))
     g1 = gcd(n + 1, p - 1)
     if (n + 1) % (p - 1) == 0:
-        ok = _exact_difference_zero(p, n, b, a)
+        ok = observed is None
         return CaseReport(p, n, b, a, "trivial", None, None, None, None, None, False, ok)
     if pow(a, g1, p) == 1:
-        ok = _exact_difference_zero(p, n, b, a)
+        ok = observed is None
         return CaseReport(
             p, n, b, a, "stabilized", None, None, None, None, None, False, ok
         )
@@ -355,27 +394,18 @@ def case_analysis(p: int, n: int, b: int, a: int, prec: int | None = None) -> Ca
         h = (n + 1) % (p - 1)
         predicted = valuation_formulas(p, n, 1)
 
-    if prec is None:
-        # the certified digits, those below prec - p + 1, must reach W
-        prec = max(default_precision(p), predicted + p)
-    b2 = (b * pow(a, -(n + 1), p)) % p
-    # the embedding is a ring map, so embed each conjugate once and subtract
-    diff = _embedded_scaled_ik(p, n, b, prec) - _embedded_scaled_ik(p, n, b2, prec)
-    observed = _certified_valuation(diff)
+    if observed is None:
+        raise VanishingDifference(
+            f"Case {label} difference is zero at p={p} n={n} b={b} a={a}"
+        )
+    if prec is not None and observed >= prec - p + 1:
+        raise PrecisionExhausted(prec, prec - p + 1)
     return CaseReport(
         p, n, b, a, label, h, k, m_star, predicted, observed, boundary, observed == predicted
     )
 
 
 def run_case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:
-    """case_analysis at its default precision, with the retry contract:
-    when no certified digit is nonzero, the observed valuation lies above
-    the prediction, so double the precision, up to 32(p-1) digits."""
-    prec = None
-    while True:
-        try:
-            return case_analysis(p, n, b, a, prec)
-        except PrecisionExhausted as exc:
-            prec = 2 * exc.prec
-            if prec > 32 * (p - 1):
-                raise
+    """case_analysis without a precision: the valuation is exact, so no
+    digit count needs choosing or raising."""
+    return case_analysis(p, n, b, a)

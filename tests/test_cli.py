@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -112,20 +113,30 @@ def test_sum_formula_line_is_the_wide_formula(capsys, p, k):
 
 
 # Runs one CLI command in a fresh interpreter (so no value is cached) with
-# the wide route stubbed out in every ikdeg module that binds it.
+# the functions named in argv[1] stubbed out in every ikdeg module that binds them.
 STUBBED_MAIN = """
 import sys
 from ikdeg import cli
 
 def forbidden(*args, **kwargs):
-    raise AssertionError("a command reached the conductor-p(q-1) route")
+    raise AssertionError("a command reached a stubbed route")
 
 for name, module in list(sys.modules.items()):
-    for attr in ("lower_conductor", "ik_formula_scaled"):
+    for attr in sys.argv[1].split(","):
         if name.split(".")[0] == "ikdeg" and attr in vars(module):
             setattr(module, attr, forbidden)
-raise SystemExit(cli.main(sys.argv[1:]))
+raise SystemExit(cli.main(sys.argv[2:]))
 """
+
+
+def _run_stubbed(stubbed, argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", STUBBED_MAIN, ",".join(stubbed), *argv.split()],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize(
@@ -140,13 +151,35 @@ raise SystemExit(cli.main(sys.argv[1:]))
     ],
 )
 def test_commands_never_take_the_wide_route(argv):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", STUBBED_MAIN, *argv.split()],
-        capture_output=True, text=True, env=env, timeout=120,
+    _run_stubbed(("lower_conductor", "ik_formula_scaled"), argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "census --p 3 --p-max 31 --n 1 --n-max 4",
+        "verify cases",
+        "verify degree --p-max 19",
+    ],
+)
+def test_census_and_suites_never_embed_or_build_conjugates(argv):
+    # degrees and valuations are read exactly in Z[zeta_p]
+    _run_stubbed(("embed_cyclotomic", "zeta_p_padic", "teichmuller", "conjugate_set"), argv)
+
+
+REFERENCE = json.loads((SRC.parent / "perfbench" / "reference.json").read_text())
+CENSUS_PRIME = "census --p 3 --p-max 31 --n 1 --n-max 4"
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_benchmark_outputs_match_reference_digests(capsys, name):
+    argv = CENSUS_PRIME if name == "census-prime" else name
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        REFERENCE[name]["sha256"], REFERENCE[name]["bytes"]
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
 
 
 def test_sum_formula_degree(capsys):
@@ -191,8 +224,8 @@ def test_census_csv(capsys):
 
 
 def test_census_case_iii_at_large_n(capsys):
-    # W = 63 lies above the digits that the retry cap of 32(p-1) = 64
-    # pi-digits certifies (those below 62)
+    # W = 63 lies above the digits that 32(p-1) = 64 pi-digits of the
+    # truncated route certify (those below 62); the exact reading has no cap
     code, out, _ = run_cli(capsys, "census", "--p", "3", "--n", "60")
     assert code == 0
     lines = out.strip().split("\n")

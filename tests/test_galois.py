@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -17,7 +18,7 @@ from ikdeg import (
 )
 from ikdeg.errors import WrongConductor, ZeroParameter
 from ikdeg.ff import is_prime
-from ikdeg.suites import DEGREE_N_MAX, DEGREE_P_MAX
+from ikdeg.suites import DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
 
 
 def test_conjugate_set_counts():
@@ -39,6 +40,50 @@ def test_conjugate_set_requires_prime_conductor():
         conjugate_set(CycInt.zeta(6))
     with pytest.raises(WrongConductor):
         degree_of(CycInt.zeta(12))
+
+
+def _orbit_size(z):
+    """Oracle: the number of distinct reduced conjugates."""
+    return len({c.canonical() for c in conjugate_set(z)})
+
+
+def _stabilised_value(p, h, rng):
+    """A random representative, not canonical, whose coefficients are
+    constant on the cosets of the subgroup of order h in F_p^*."""
+    g = get_field(p).generator.coeffs[0]
+    coset = {pow(g, j, p): j % ((p - 1) // h) for j in range(p - 1)}
+    values = [rng.randint(-20, 20) for _ in range((p - 1) // h)]
+    shift = rng.randint(-20, 20)  # adds shift * (1 + zeta + ... + zeta^(p-1)) = 0
+    return CycInt(p, [rng.randint(-20, 20) + shift] + [values[coset[e]] + shift for e in range(1, p)])
+
+
+def test_degree_of_matches_orbit_oracle():
+    values = []
+    for p in range(2, DEGREE_P_MAX + 1):
+        if not is_prime(p):
+            continue
+        F = get_field(p)
+        values += [scaled_ik_at_p(F, n, b) for n in range(1, DEGREE_N_MAX + 1) for b in F.units()]
+        values += [CycInt.from_int(p, c) for c in (0, 1, -7)]  # rational values
+        values += [CycInt(p, [5] + [2] * (p - 1)), CycInt(p, [3] * p)]  # 3 and 0, not canonical
+        rng = random.Random(p)
+        for h in (h for h in range(1, p) if (p - 1) % h == 0):
+            for _ in range(3):
+                z = _stabilised_value(p, h, rng)
+                # one coefficient off the pattern: only sigma_1 still fixes it
+                values += [z, z + CycInt.monomial(p, rng.randrange(1, p))]
+    for p, k in EXTENSION_FIELDS:
+        F = get_field(p, k)
+        values += [scaled_ik_at_p(F, n, b) for n in EXTENSION_NS for b in F.units()]
+    degrees = set()
+    for z in values:
+        d = degree_of(z)
+        assert d == _orbit_size(z), z
+        degrees.add((z.m, d))
+    assert (31, 1) in degrees and (31, 15) in degrees and (31, 30) in degrees
+    for m in (1, 4, 6, 9, 12, 25):
+        with pytest.raises(WrongConductor):
+            degree_of(CycInt.zeta(m))
 
 
 def test_min_poly_examples():

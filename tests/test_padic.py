@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from ikdeg import (
     case_analysis,
     default_precision,
     embed_cyclotomic,
+    exact_valuation,
     get_field,
     ik_formula_scaled,
     run_case_analysis,
@@ -17,16 +19,22 @@ from ikdeg import (
     valuation_formulas,
     zeta_p_padic,
 )
-from ikdeg import kernels
+from ikdeg import kernels, padic
 from ikdeg.errors import (
     DegenerateIndex,
+    IKDegError,
     InvalidParameters,
     PrecisionExhausted,
     PrecisionMismatch,
     PrecisionTooLow,
     UnsupportedConductor,
+    VanishingDifference,
+    WrongConductor,
     ZeroParameter,
 )
+from ikdeg.ff import is_prime
+from ikdeg.padic import _certified_valuation, _embedded_scaled_ik
+from ikdeg.suites import CASE_I_PAIRS, CASE_II_PAIRS, CASE_III_PAIRS, DEGREE_N_MAX, DEGREE_P_MAX
 
 
 def test_carry_rule():
@@ -261,7 +269,7 @@ def test_explicit_precision_agrees_with_default():
 
 def test_default_precision_reaches_the_prediction():
     # Case III predicts W = (n+1) + 2t, which outgrows 32(p-1) digits as n
-    # grows; the default precision certifies digits up to W
+    # grows; without a prec the valuation is read exactly, at any height
     rep = run_case_analysis(3, 150, 1, 2)
     assert rep.case_label == "III"
     assert rep.ok and rep.predicted_valuation == rep.observed_valuation == 153
@@ -285,3 +293,99 @@ def test_pow_costs_log_plus_popcount_minus_one_products(monkeypatch):
         for _ in range(e):
             expected = expected * x
         assert y == expected
+
+
+def _certified_or_none(x):
+    """Oracle: v_pi from the certified digits of a truncated embedding,
+    None where they are all zero."""
+    try:
+        return _certified_valuation(x)
+    except PrecisionExhausted:
+        return None
+
+
+def _agrees_with_padic_route(v, certified, p, prec):
+    # certified digits give v exactly; none certified means v >= prec - p + 1
+    if certified is not None:
+        return v == certified
+    return v is None or v >= prec - p + 1
+
+
+def test_exact_valuation_matches_padic_route_on_degree_grid():
+    pairs = 0
+    for p in (q for q in range(2, DEGREE_P_MAX + 1) if is_prime(q)):
+        F = get_field(p)
+        prec = default_precision(p)
+        for n in range(1, DEGREE_N_MAX + 1):
+            for b in range(1, p):
+                conjugates = {b * pow(a, -(n + 1), p) % p for a in range(1, p)} - {b}
+                for b2 in sorted(conjugates):
+                    v = exact_valuation(scaled_ik_at_p(F, n, b) - scaled_ik_at_p(F, n, b2))
+                    # the embedding is a ring map, so the difference of the embeddings
+                    # is the embedding of the difference
+                    diff = _embedded_scaled_ik(p, n, b, prec) - _embedded_scaled_ik(p, n, b2, prec)
+                    certified = _certified_or_none(diff)
+                    assert _agrees_with_padic_route(v, certified, p, prec), (p, n, b, b2)
+                    pairs += 1
+    assert pairs == 12588
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_exact_valuation_matches_padic_route_on_random_values(p):
+    rng = random.Random(p)
+    certified_count = 0
+    for prec in (2 * (p - 1), default_precision(p), 3 * default_precision(p)):
+        values = [CycInt.zero(p), CycInt(p, [rng.randint(-9, 9)] * p)]  # zero, two ways
+        for _ in range(40):
+            scale = p ** rng.choice((0, 1, 2))
+            coeffs = [scale * rng.randint(-50, 50) if rng.random() < 0.7 else 0 for _ in range(p)]
+            coeffs[-1] = scale * rng.randint(1, 50)  # not the canonical representative
+            z = CycInt(p, coeffs)
+            values += [z, z + CycInt(p, [rng.randint(-99, 99)] * p)]
+        for z in values:
+            v = exact_valuation(z)
+            certified = _certified_or_none(embed_cyclotomic(z, p, prec))
+            assert _agrees_with_padic_route(v, certified, p, prec), (z, prec)
+            certified_count += certified is not None
+        assert exact_valuation(values[0]) is None and exact_valuation(values[1]) is None
+    assert certified_count > 0
+    with pytest.raises(WrongConductor):
+        exact_valuation(CycInt.zeta(4 * p))
+
+
+def _case_rows():
+    """One Case I/II/III row for each (p, n) of the cases suite."""
+    for p, n in CASE_I_PAIRS + CASE_II_PAIRS + CASE_III_PAIRS:
+        a = next(a for a in range(2, p) if pow(a, math.gcd(n + 1, p - 1), p) != 1)
+        yield p, n, 1 + (n % (p - 1)), a
+
+
+@pytest.mark.parametrize("p,n,b,a", list(_case_rows()))
+def test_explicit_precision_exhausts_exactly_where_padic_route_does(p, n, b, a):
+    b2 = b * pow(a, -(n + 1), p) % p
+    exact = case_analysis(p, n, b, a).observed_valuation
+    for prec in range(2 * (p - 1), exact + 2 * p):
+        diff = _embedded_scaled_ik(p, n, b, prec) - _embedded_scaled_ik(p, n, b2, prec)
+        certified = _certified_or_none(diff)
+        if certified is None:
+            with pytest.raises(PrecisionExhausted):
+                case_analysis(p, n, b, a, prec)
+        else:
+            assert case_analysis(p, n, b, a, prec).observed_valuation == certified == exact
+
+
+def test_zero_case_difference_raises_naming_the_row(monkeypatch):
+    # b times the all-ones vector is zero in Z[zeta_p] whatever b is, so every
+    # conjugate difference vanishes although no two representatives are equal
+    monkeypatch.setattr(
+        padic, "scaled_ik_at_p", lambda F, n, b: CycInt(F.p, [F.elt(b).coeffs[0]] * F.p)
+    )
+    for p, n, b, a in _case_rows():
+        for analysis in (case_analysis, run_case_analysis):
+            with pytest.raises(VanishingDifference) as info:
+                analysis(p, n, b, a)
+            assert isinstance(info.value, IKDegError)
+            assert f"p={p} n={n} b={b} a={a}" in str(info.value)
+    # trivial and stabilized rows expect the zero difference
+    assert run_case_analysis(5, 3, 2, 3).ok
+    assert run_case_analysis(13, 3, 1, 5).ok
