@@ -21,6 +21,7 @@ from .cyclo import (
     IntPoly,
     change_conductor,
     cyclotomic_poly,
+    embed_all,
     embed_complex,
     euler_phi,
     galois_apply,
@@ -67,6 +68,7 @@ __all__ = [
     "IntPoly",
     "change_conductor",
     "cyclotomic_poly",
+    "embed_all",
     "embed_complex",
     "euler_phi",
     "galois_apply",

@@ -15,7 +15,7 @@ everything stays inside a ring with decidable equality.
 
 from __future__ import annotations
 
-from .cyclo import CycInt, embed_complex, map_exponents
+from .cyclo import CycInt, embed_all, map_exponents
 from .errors import BudgetExceeded, CharAtZero, ZeroParameter
 from .ff import Field, FieldElt
 
@@ -51,7 +51,7 @@ def gauss_sum(F: Field, m: int) -> CycInt:
     out = [0] * big_m
     for j in range(q1):
         # zeta_{q-1} = zeta_M^p, zeta_p = zeta_M^(q-1)
-        e = (p * ((-m * j) % q1) + q1 * F.trace(F.pow_of_generator(j))) % big_m
+        e = (p * ((-m * j) % q1) + q1 * F._trace_coords(F._pow_table[j])) % big_m
         out[e] += 1
     g = CycInt(big_m, out)
     F._cache[key] = g
@@ -84,6 +84,8 @@ def _add_rotations(acc: list, row: list, shifts) -> list:
     q1 = len(row)
     acc = list(acc)
     nonzero = [(i, r) for i, r in enumerate(row) if r]
+    if not nonzero:  # nothing to spread: leave the shifts unread
+        return acc
     for d in shifts:
         for i, r in nonzero:
             acc[(i + d) % q1] += r
@@ -104,10 +106,12 @@ def _brute_distribution(F: Field, n: int, b) -> dict:
     count at most 2n (q-1)^n additions: the tuple budget bounds the work.
     Only dlog and field addition enter: no character or cyclotomic value.
     """
-    q1 = F.q - 1
+    p, q1, powers = F.p, F.q - 1, F._pow_table
     neg_one = F.dlog(F.elt(-1))
-    # 1 - g^c = g^(log_one_minus[c]) for c != 0
-    log_one_minus = [F.dlog(F.one - F.pow_of_generator(c)) for c in range(1, q1)]
+    # 1 - g^c = -(g^c - 1) = g^(log_one_minus[c]) for c != 0, read off coordinates
+    log_one_minus = [
+        (F.dlog_table[((g[0] - 1) % p,) + g[1:]] + neg_one) % q1 for g in powers[1:]
+    ]
     zero_row, one_row = [1] + [0] * (q1 - 1), [0] * q1  # D_0 counts the empty tuple
     for k in range(1, n + 2):
         # D_(k-1)(g^e, i) = one_row[i - (k-1) e]. For s = 1 the unit g^0
@@ -121,7 +125,7 @@ def _brute_distribution(F: Field, n: int, b) -> dict:
     beta = F.dlog(b)
     dist = {F.zero.coeffs: zero_row[beta]}
     for c in range(q1):  # D_(n+1)(g^c, beta) = D_(n+1)(1, beta - (n+1) c)
-        dist[F.pow_of_generator(c).coeffs] = one_row[(beta - (n + 1) * c) % q1]
+        dist[powers[c]] = one_row[(beta - (n + 1) * c) % q1]
     return {s: count for s, count in dist.items() if count}
 
 
@@ -131,7 +135,7 @@ def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> CycI
     b = _enumeration_guard(F, n, b, budget)
     counts = [0] * F.p
     for s, count in _brute_distribution(F, n, b).items():
-        counts[F.trace(s)] += count
+        counts[F._trace_coords(s)] += count
     return CycInt(F.p, counts)
 
 
@@ -141,10 +145,10 @@ def inverted_kloosterman_brute(
     """IK_n(q, b) at conductor p, from the counts of unit tuples by sum;
     the empty sum is 0."""
     b = _enumeration_guard(F, n, b, budget)
-    counts = [0] * F.p
+    q1, counts = F.q - 1, [0] * F.p
     for s, count in _brute_distribution(F, n, b).items():
-        if any(s):
-            counts[F.trace(F.elt(s).inverse())] += count
+        if any(s):  # 1/s = g^(-dlog s)
+            counts[F._trace_coords(F._pow_table[-F.dlog_table[s] % q1])] += count
     return CycInt(F.p, counts)
 
 
@@ -160,6 +164,18 @@ def _relabel(z: CycInt, p: int, s: int) -> CycInt:
     return map_exponents(z, 1 + p * ((s - 1) * pow(p, -1, q1) % q1), z.m)
 
 
+def _gauss_power(F: Field, g: CycInt, e: int) -> CycInt:
+    """g^e for g = G(omega^(-1)) and e >= 2, cached per field: one product
+    from the power below it when that is cached, else a square-and-multiply."""
+    key = ("gauss_power", e)
+    cached = F._cache.get(key)
+    if cached is None:
+        below = g if e == 2 else F._cache.get(("gauss_power", e - 1))
+        cached = below * g if below is not None else g**e
+        F._cache[key] = cached
+    return cached
+
+
 def _character_terms(F: Field, n: int) -> CycInt:
     """Term 1, the b-independent factor of the scaled Gauss-sum formula.
 
@@ -167,15 +183,28 @@ def _character_terms(F: Field, n: int) -> CycInt:
     chi = omega^(-1), at conductor p(q-1). The term for omega^(-m) is
     its image under rho_m (see _relabel), since
     G(omega^(-m)) = rho_m(G(omega^(-1))) and rho_m rho_s = rho_(ms), so
-    one Gauss sum and one product serve every character.
+    one Gauss sum and one product serve every character; the powers of
+    G(chi) are shared by every n of the field (_gauss_power).
     """
     key = ("ikterm", n)
     cached = F._cache.get(key)
     if cached is None:
         p, q1 = F.p, F.q - 1
         g = gauss_sum(F, 1)
-        cached = _relabel(g * g, p, -(n + 1)) * g ** (n + 1)
+        cached = _relabel(_gauss_power(F, g, 2), p, -(n + 1)) * _gauss_power(F, g, n + 1)
         cached = cached.shifted(p * ((-(n + 1) * F.dlog(F.elt(-1))) % q1))  # chi^(n+1)(-1)
+        F._cache[key] = cached
+    return cached
+
+
+def _rho0_term(F: Field, n: int) -> tuple:
+    """The coefficients of rho_0(T) in Z[zeta_p], T term 1: zeta_{q-1} -> 1,
+    so zeta_{p(q-1)}^e -> zeta_p^(e/(q-1)). It does not depend on b, so it
+    is cached per (q, n) next to term 1."""
+    key = ("rho0", n)
+    cached = F._cache.get(key)
+    if cached is None:
+        cached = map_exponents(_character_terms(F, n), pow(F.q - 1, -1, F.p), F.p).coeffs
         F._cache[key] = cached
     return cached
 
@@ -209,10 +238,8 @@ def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:
     if cached is None:
         p, q1 = F.p, F.q - 1
         big_m = p * q1
-        term = _character_terms(F, n)
-        # rho_0(T_b) = rho_0(T): zeta_{q-1} -> 1, so zeta_{p(q-1)}^e -> zeta_p^(e/(q-1))
-        rho0 = map_exponents(term, pow(q1, -1, p), p).coeffs
-        t = term.coeffs
+        rho0 = _rho0_term(F, n)  # rho_0(T_b) = rho_0(T)
+        t = _character_terms(F, n).coeffs
         # T_b is free of zeta_{q-1} where T has zeta_{q-1}^(-dlog b)
         row = p * (-F.dlog(b) % q1)
         out = [q1 * t[(q1 * a + row) % big_m] - r for a, r in enumerate(rho0)]
@@ -255,11 +282,8 @@ def bounds_check(F: Field, n: int, b):
     rhs2 = 2 * n * float(q) ** (n / 2) if second else None
     shift1 = (q - 1) ** n / q
     shift2 = ((q - 1) ** n - (-1) ** n * (q + 1)) / q if second else None
-    lhs1s, lhs2s = [], []
-    for j in range(1, F.p):
-        c, _err = embed_complex(z, j)
-        ik = c / (q * (q - 1))
-        lhs1s.append(abs(ik + shift1))
-        if second:
-            lhs2s.append(abs(ik + shift2))
-    return max(lhs1s), rhs1, max(lhs2s) if second else None, rhs2
+    scale = q * (q - 1)
+    iks = [c / scale for c in embed_all(z)[0].values()]
+    lhs1 = max(abs(ik + shift1) for ik in iks)
+    lhs2 = max(abs(ik + shift2) for ik in iks) if second else None
+    return lhs1, rhs1, lhs2, rhs2

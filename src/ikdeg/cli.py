@@ -12,7 +12,7 @@ from math import gcd
 
 from . import suites
 from .charsum import DEFAULT_BUDGET, bounds_check, inverted_kloosterman_brute, scaled_ik_at_p
-from .cyclo import change_conductor, embed_complex
+from .cyclo import change_conductor, embed_all
 from .errors import BudgetExceeded, IKDegError, InvalidParameters
 from .ff import Field, get_field, is_prime
 from .galois import degree_of, min_poly
@@ -183,8 +183,8 @@ def cmd_sum(args) -> int:
             agree = q * (q - 1) * value == z_p
             print(f"paths agree: {agree}")
             code = 0 if agree else 1
-    for j in range(1, F.p):
-        c, err = embed_complex(value, j)
+    embeddings, err = embed_all(value)  # one error bound serves every j
+    for j, c in embeddings.items():
         c /= scale
         print(f"embedding j={j}: {c.real:.12g}{c.imag:+.12g}i (err <= {err:.3g})")
     poly = min_poly(value)  # asserts that its degree is the orbit size

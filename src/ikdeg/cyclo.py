@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import operator
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 
 from . import kernels
@@ -397,22 +397,38 @@ def lower_conductor(z: CycInt, d: int) -> CycInt:
 
 
 @lru_cache(maxsize=None)
-def _complex_roots(m: int) -> tuple:
-    """e^(2*pi*i*e/m) for e = 0 .. m-1."""
-    return tuple(cmath.exp(2j * cmath.pi * e / m) for e in range(m))
+def _root_rows(m: int) -> dict:
+    """For each j in 0 .. m-1 coprime to m, ascending, the row
+    e^(2*pi*i*j*e/m) for e = 0 .. m-1, read off one table of roots."""
+    roots = [cmath.exp(2j * cmath.pi * e / m) for e in range(m)]
+    return {
+        j: tuple(roots[j * e % m] for e in range(m)) for j in range(m) if gcd(j, m) == 1
+    }
+
+
+def _evaluate(coeffs, row) -> complex:
+    # ascending e, plain left-to-right additions from 0j, so the floats are
+    # those of adding the nonzero c * root one at a time: a partial sum that
+    # starts at +0.0 is never -0.0, so a zero term leaves it unchanged.
+    # (sum() is faster, but newer Pythons may compensate its additions.)
+    return reduce(operator.add, map(operator.mul, coeffs, row), 0j)
+
+
+def _error_bound(coeffs) -> float:
+    return 8 * sum(map(abs, coeffs)) * sys.float_info.epsilon
+
+
+def embed_all(z: CycInt):
+    """Every complex embedding of z in one pass: ({j: value}, error_bound)
+    over j coprime to m, ascending. The bound 8 * sum |c| * eps is the
+    same for every j, so it is computed once."""
+    c = z.coeffs
+    return {j: _evaluate(c, row) for j, row in _root_rows(z.m).items()}, _error_bound(c)
 
 
 def embed_complex(z: CycInt, j: int):
-    """Evaluate z at e^(2*pi*i*j/m); returns (value, error_bound)."""
+    """Evaluate z at e^(2*pi*i*j/m); returns (value, error_bound). One
+    embedding of embed_all, with the same floats."""
     if gcd(j, z.m) != 1:
         raise NonCoprimeIndex(f"gcd({j}, {z.m}) != 1")
-    m = z.m
-    roots = _complex_roots(m)
-    val = 0j
-    total = 0
-    for i, c in enumerate(z.coeffs):
-        if c:
-            val += c * roots[(j * i) % m]
-            total += abs(c)
-    err = 8 * total * sys.float_info.epsilon
-    return val, err
+    return _evaluate(z.coeffs, _root_rows(z.m)[j % z.m]), _error_bound(z.coeffs)

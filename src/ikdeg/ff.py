@@ -7,7 +7,9 @@ character evaluations are O(1) lookups. Designed for desk-scale q.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
+from itertools import chain
 
 from .cyclo import IntPoly, power, prime_factors
 from .errors import FieldMismatch, InvalidParameters, InversionOfZero, LogOfZero
@@ -278,19 +280,31 @@ class Field:
         raise AssertionError("no generator found")  # unreachable
 
     def _build_dlog(self):
+        """dlog_table maps the coordinates of g^j to j; _pow_table[j] holds
+        them. A step multiplies by g on coordinate lists by Horner's rule in
+        alpha, t -> alpha*t + g_s*acc, where alpha*t shifts t up and folds
+        its top coordinate back through the monic modulus. g comes early in
+        encoding order, so it has few coordinates: one fused pass per step
+        when g = alpha + c."""
+        p, k = self.p, self.k
+        low = self._mod_coeffs[:k]  # alpha^k = -(low part)
+        *rest, lead = _ptrim(list(self.generator.coeffs))
+        rest.reverse()
         self.dlog_table = {}
         self._pow_table = []
-        acc = tuple([1] + [0] * (self.k - 1))
-        # g comes early in encoding order, so its top coordinates are zero;
-        # trimmed, a step costs O(k) per coordinate left, not O(k^2)
-        g = _ptrim(list(self.generator.coeffs))
+        acc = [1] + [0] * (k - 1)
         for j in range(self.q - 1):
-            self.dlog_table[acc] = j
-            self._pow_table.append(FieldElt(self, acc))
-            acc = self._mul_raw(acc, g)
+            coords = tuple(acc)
+            self.dlog_table[coords] = j
+            self._pow_table.append(coords)
+            t = acc if lead == 1 else [lead * a % p for a in acc]
+            for c in rest:
+                top = t[-1]
+                t = [(c * a + x - top * m) % p for a, x, m in zip(acc, chain((0,), t), low)]
+            acc = t
 
     def pow_of_generator(self, j: int) -> FieldElt:
-        return self._pow_table[j % (self.q - 1)]
+        return FieldElt(self, self._pow_table[j % (self.q - 1)])
 
     def dlog(self, x: FieldElt) -> int:
         x = self.elt(x)
@@ -316,8 +330,11 @@ class Field:
     def trace(self, x: FieldElt) -> int:
         """Tr(x) as a residue mod p. The trace is F_p-linear, so it is read
         off the traces of the basis powers alpha^i."""
-        x = self.elt(x)
-        return sum(c * t for c, t in zip(x.coeffs, self._basis_traces)) % self.p
+        return self._trace_coords(self.elt(x).coeffs)
+
+    def _trace_coords(self, coeffs) -> int:
+        """Tr of the element with these coordinates, with no FieldElt built."""
+        return sum(map(operator.mul, coeffs, self._basis_traces)) % self.p
 
     def __repr__(self):
         if self.k == 1:

@@ -7,6 +7,8 @@ no factorization is needed.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .charsum import _check_ik_args, scaled_ik_at_p
 from .cyclo import CycInt, IntPoly, galois_apply
 from .errors import NonIntegerCoefficients, WrongConductor, ZeroParameter
@@ -25,6 +27,12 @@ def conjugate_set(z: CycInt) -> tuple[CycInt, ...]:
     return tuple(galois_apply(z, a) for a in range(1, p))
 
 
+@lru_cache(maxsize=None)
+def _exponent_perms(p: int) -> tuple:
+    """Entry a, for a = 0 .. p-1, is the exponent map e -> a*e mod p, e = 0 .. p-1."""
+    return tuple(tuple(a * e % p for e in range(p)) for a in range(p))
+
+
 def degree_of(z: CycInt) -> int:
     """Degree of z over Q (orbit size under Gal(Q(zeta_p)/Q)), read off
     the stabiliser.
@@ -32,11 +40,17 @@ def degree_of(z: CycInt) -> int:
     Representatives of one element differ by a constant vector, and
     sigma_a moves coefficient e to a*e mod p but fixes index 0, so
     sigma_a(z) = z iff c_(a*e mod p) = c_e for every e. The degree is
-    (p-1) over the number of such a; no conjugate is built or reduced.
+    (p-1) over the number of such a. Each a with c_a = c_1 (the case
+    e = 1) is tested by comparing the permuted coefficient tuple with c,
+    one C-level pass with the permutations cached per p; no conjugate is
+    built or reduced.
     """
     p = _require_prime_conductor(z)
     c = z.coeffs
-    fixing = sum(1 for a in range(1, p) if all(c[a * e % p] == c[e] for e in range(1, p)))
+    perms = _exponent_perms(p)
+    fixing = sum(
+        tuple(map(c.__getitem__, perms[a])) == c for a in range(1, p) if c[a] == c[1]
+    )
     return (p - 1) // fixing
 
 

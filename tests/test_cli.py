@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ikdeg import get_field, ik_formula_scaled
+from ikdeg import charsum, ff, get_field, ik_formula_scaled, kernels
 from ikdeg.cli import CSV_FIELDS, build_parser, main
 from ikdeg.errors import InvalidParameters
 
@@ -165,6 +165,42 @@ def test_commands_never_take_the_wide_route(argv):
 def test_census_and_suites_never_embed_or_build_conjugates(argv):
     # degrees and valuations are read exactly in Z[zeta_p]
     _run_stubbed(("embed_cyclotomic", "zeta_p_padic", "teichmuller", "conjugate_set"), argv)
+
+
+def test_census_reads_rho0_once_and_one_gauss_product_per_power(monkeypatch, capsys):
+    # fresh fields, so nothing is cached from earlier tests; every ikdeg
+    # module that looks fields up gets the same ones
+    fields = {}
+
+    def fresh_field(p, k):
+        if (p, k) not in fields:
+            fields[p, k] = ff.Field(p, k)
+        return fields[p, k]
+
+    monkeypatch.setattr(ff, "_field", fresh_field)
+    maps, products = [], []
+    map_exponents, convolve = charsum.map_exponents, kernels.cyclic_convolve
+
+    def counted_map(z, k, big_m):
+        maps.append((z.m, big_m))
+        return map_exponents(z, k, big_m)
+
+    def counted_convolve(a, b):
+        products.append(len(a))
+        return convolve(a, b)
+
+    monkeypatch.setattr(charsum, "map_exponents", counted_map)
+    monkeypatch.setattr(kernels, "cyclic_convolve", counted_convolve)
+    code, out, _ = run_cli(capsys, *"census --p 3 --p-max 13 --n 1 --n-max 4".split())
+    assert code == 0 and len(out.splitlines()) == 1 + 4 * (2 + 4 + 6 + 10 + 12)
+    primes = (3, 5, 7, 11, 13)
+    assert sorted(fields) == [(p, 1) for p in primes]
+    # rho_0 maps conductor p(p-1) down to p; the relabelling keeps it
+    assert sorted(big for m, big in maps if big < m) == sorted(p for p in primes for _ in range(4))
+    assert sum(1 for m, big in maps if big == m) == 4 * len(primes)
+    # per field: g^2 = g*g, then g^(n+1) = g^n * g for n = 2, 3, 4, and one
+    # product per n for term 1
+    assert sorted(products) == sorted(p * (p - 1) for p in primes for _ in range(8))
 
 
 REFERENCE = json.loads((SRC.parent / "perfbench" / "reference.json").read_text())

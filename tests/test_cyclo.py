@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import struct
+import sys
 from functools import lru_cache
 
 import pytest
@@ -10,10 +12,13 @@ from ikdeg import (
     IntPoly,
     change_conductor,
     cyclotomic_poly,
+    embed_all,
     embed_complex,
     euler_phi,
     galois_apply,
+    get_field,
     lower_conductor,
+    scaled_ik_at_p,
 )
 from ikdeg import kernels
 from ikdeg.errors import ConductorMismatch, NonCoprimeIndex, WrongConductor
@@ -122,6 +127,49 @@ def test_embed_complex_matches_per_coefficient_exp():
                     if c:
                         want += c * cmath.exp(2j * cmath.pi * ((j * i) % m) / m)
                 assert embed_complex(z, j)[0] == want, (m, j)
+
+
+def _bits(v: complex) -> bytes:
+    # bit for bit: tells -0.0 from 0.0, which == does not
+    return struct.pack("<dd", v.real, v.imag)
+
+
+def _assert_embed_all_is_embed_complex(z):
+    # both equal, bit for bit, the plain ascending loop over nonzero terms
+    m = z.m
+    values, err = embed_all(z)
+    assert list(values) == [j for j in range(m) if math.gcd(j, m) == 1]
+    assert err == 8 * sum(abs(c) for c in z.coeffs) * sys.float_info.epsilon
+    for j, v in values.items():
+        want = 0j
+        for i, c in enumerate(z.coeffs):
+            if c:
+                want += c * cmath.exp(2j * cmath.pi * ((j * i) % m) / m)
+        one, one_err = embed_complex(z, j)
+        assert _bits(v) == _bits(one) == _bits(want), (m, j)
+        assert one_err == err
+
+
+def test_embed_all_is_embed_complex_bit_for_bit_on_scaled_sums():
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        F = get_field(p)
+        for n in range(1, 5):
+            for b in range(1, p):
+                _assert_embed_all_is_embed_complex(scaled_ik_at_p(F, n, b))
+                checked += 1
+    assert checked == 4 * (1 + 2 + 4 + 6 + 10 + 12)
+
+
+def test_embed_all_is_embed_complex_bit_for_bit_on_random_values():
+    rng = random.Random(7)
+    for m in (3, 5, 7, 31):
+        for _ in range(25):
+            z = CycInt(m, [rng.choice((0, 0, rng.randrange(-10**12, 10**12))) for _ in range(m)])
+            _assert_embed_all_is_embed_complex(z)
+        _assert_embed_all_is_embed_complex(CycInt.zero(m))
+        # cancelling terms: a partial sum returns to zero and must not turn -0.0
+        _assert_embed_all_is_embed_complex(CycInt(m, [1, -1] + [0] * (m - 2)))
 
 
 def test_embedding_norm_product_is_integer():

@@ -353,6 +353,64 @@ def test_exact_valuation_matches_padic_route_on_random_values(p):
         exact_valuation(CycInt.zeta(4 * p))
 
 
+def _horner_valuation(z):
+    """exact_valuation before the early exit, as a reference: the whole
+    Taylor shift by Horner passes, then the least of all term valuations,
+    which must be pairwise distinct."""
+    p = z.m
+    top = z.coeffs[-1]
+    d = [c - top for c in z.coeffs[:-1]]
+    for i in range(p - 2):
+        for j in range(p - 3, i - 1, -1):
+            d[j] += d[j + 1]
+    valuations = []
+    for k, dk in enumerate(d):
+        if dk:
+            v = k
+            while dk % p == 0:
+                dk //= p
+                v += p - 1
+            valuations.append(v)
+    assert len(set(valuations)) == len(valuations)
+    return min(valuations, default=None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
+def test_early_exit_valuation_matches_horner_and_padic_route(p):
+    # z = p^t * lambda^k * u with u a pi-adic unit (coefficient sum prime to
+    # p) has v_pi(z) = t(p-1) + k; t = 1, 2 give valuations >= p-1
+    rng = random.Random(100 + p)
+    lam = CycInt(p, [-1, 1])
+    prec = default_precision(p)
+    units = [CycInt.from_int(p, 1), CycInt.from_int(p, p - 1), CycInt(p, [1] * min(2, p - 1))]
+    while len(units) < 6:
+        u = CycInt(p, [rng.randint(-20, 20) for _ in range(p)])
+        if sum(u.coeffs) % p:
+            units.append(u)
+    checked = 0
+    for t in range(3):
+        for k in range(p - 1):
+            for u in units:
+                z = p**t * lam**k * u
+                for rep in (z, z + CycInt(p, [rng.randint(-99, 99)] * p)):  # non-canonical
+                    v = exact_valuation(rep)
+                    assert v == _horner_valuation(rep) == t * (p - 1) + k, (t, k, rep)
+                    assert _certified_valuation(embed_cyclotomic(rep, p, prec)) == v
+                    checked += 1
+    assert checked == 3 * (p - 1) * len(units) * 2
+    for zero in (CycInt.zero(p), CycInt(p, [rng.randint(1, 9)] * p)):
+        assert exact_valuation(zero) is None and _horner_valuation(zero) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_early_exit_valuation_matches_horner_on_random_values(p):
+    rng = random.Random(200 + p)
+    for _ in range(200):
+        scale = p ** rng.choice((0, 1, 2))
+        z = CycInt(p, [scale * rng.randint(-50, 50) if rng.random() < 0.6 else 0 for _ in range(p)])
+        assert exact_valuation(z) == _horner_valuation(z), z
+
+
 def _case_rows():
     """One Case I/II/III row for each (p, n) of the cases suite."""
     for p, n in CASE_I_PAIRS + CASE_II_PAIRS + CASE_III_PAIRS:
