@@ -51,7 +51,7 @@ def gauss_sum(F: Field, m: int) -> CycInt:
     out = [0] * big_m
     for j in range(q1):
         # zeta_{q-1} = zeta_M^p, zeta_p = zeta_M^(q-1)
-        e = (p * ((-m * j) % q1) + q1 * F._trace_coords(F._pow_table[j])) % big_m
+        e = (p * ((-m * j) % q1) + q1 * F._trace_of_power(j)) % big_m
         out[e] += 1
     g = CycInt(big_m, out)
     F._cache[key] = g
@@ -92,8 +92,9 @@ def _add_rotations(acc: list, row: list, shifts) -> list:
     return acc
 
 
-def _brute_distribution(F: Field, n: int, b) -> dict:
-    """Count unit tuples by s = x_1 + ... + x_n + b/(x_1 ... x_n), keyed by s.coeffs.
+def _brute_counts(F: Field, n: int, b):
+    """Count unit tuples by s = x_1 + ... + x_n + b/(x_1 ... x_n): returns
+    (N_0, N) with N_0 the count at s = 0 and N[c] the count at s = g^c.
 
     Appending x_(n+1) = b/(x_1 ... x_n) makes these the unit (n+1)-tuples
     with product b, counted by sum. Let D_k(s, j) count the unit k-tuples
@@ -106,12 +107,9 @@ def _brute_distribution(F: Field, n: int, b) -> dict:
     count at most 2n (q-1)^n additions: the tuple budget bounds the work.
     Only dlog and field addition enter: no character or cyclotomic value.
     """
-    p, q1, powers = F.p, F.q - 1, F._pow_table
+    q1 = F.q - 1
     neg_one = F.dlog(F.elt(-1))
-    # 1 - g^c = -(g^c - 1) = g^(log_one_minus[c]) for c != 0, read off coordinates
-    log_one_minus = [
-        (F.dlog_table[((g[0] - 1) % p,) + g[1:]] + neg_one) % q1 for g in powers[1:]
-    ]
+    log_one_minus = F._log_one_minus_powers()  # 1 - g^c = g^(log_one_minus[c - 1])
     zero_row, one_row = [1] + [0] * (q1 - 1), [0] * q1  # D_0 counts the empty tuple
     for k in range(1, n + 2):
         # D_(k-1)(g^e, i) = one_row[i - (k-1) e]. For s = 1 the unit g^0
@@ -123,19 +121,27 @@ def _brute_distribution(F: Field, n: int, b) -> dict:
             _add_rotations(zero_row, one_row, from_one),
         )
     beta = F.dlog(b)
-    dist = {F.zero.coeffs: zero_row[beta]}
-    for c in range(q1):  # D_(n+1)(g^c, beta) = D_(n+1)(1, beta - (n+1) c)
-        dist[powers[c]] = one_row[(beta - (n + 1) * c) % q1]
+    # D_(n+1)(g^c, beta) = D_(n+1)(1, beta - (n+1) c)
+    return zero_row[beta], [one_row[(beta - (n + 1) * c) % q1] for c in range(q1)]
+
+
+def _brute_distribution(F: Field, n: int, b) -> dict:
+    """The nonzero counts of _brute_counts, keyed by s.coeffs."""
+    zero, by_log = _brute_counts(F, n, b)
+    dist = {F.zero.coeffs: zero}
+    for c, count in enumerate(by_log):
+        dist[F.pow_of_generator(c).coeffs] = count
     return {s: count for s, count in dist.items() if count}
 
 
 def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> CycInt:
     """K_n(q, b) at conductor p, from the counts of unit tuples by sum
-    (_brute_distribution)."""
+    (_brute_counts)."""
     b = _enumeration_guard(F, n, b, budget)
-    counts = [0] * F.p
-    for s, count in _brute_distribution(F, n, b).items():
-        counts[F._trace_coords(s)] += count
+    zero, by_log = _brute_counts(F, n, b)
+    counts = [zero] + [0] * (F.p - 1)  # Tr(0) = 0
+    for c, count in enumerate(by_log):
+        counts[F._trace_of_power(c)] += count
     return CycInt(F.p, counts)
 
 
@@ -145,10 +151,9 @@ def inverted_kloosterman_brute(
     """IK_n(q, b) at conductor p, from the counts of unit tuples by sum;
     the empty sum is 0."""
     b = _enumeration_guard(F, n, b, budget)
-    q1, counts = F.q - 1, [0] * F.p
-    for s, count in _brute_distribution(F, n, b).items():
-        if any(s):  # 1/s = g^(-dlog s)
-            counts[F._trace_coords(F._pow_table[-F.dlog_table[s] % q1])] += count
+    counts = [0] * F.p
+    for c, count in enumerate(_brute_counts(F, n, b)[1]):
+        counts[F._trace_of_power(-c)] += count  # 1/g^c = g^(-c)
     return CycInt(F.p, counts)
 
 
@@ -164,12 +169,13 @@ def _relabel(z: CycInt, p: int, s: int) -> CycInt:
     return map_exponents(z, 1 + p * ((s - 1) * pow(p, -1, q1) % q1), z.m)
 
 
-def _gauss_power(F: Field, g: CycInt, e: int) -> CycInt:
-    """g^e for g = G(omega^(-1)) and e >= 2, cached per field: one product
+def _gauss_power(F: Field, e: int) -> CycInt:
+    """G^e for G = G(omega^(-1)) and e >= 2, cached per field: one product
     from the power below it when that is cached, else a square-and-multiply."""
     key = ("gauss_power", e)
     cached = F._cache.get(key)
     if cached is None:
+        g = gauss_sum(F, 1)
         below = g if e == 2 else F._cache.get(("gauss_power", e - 1))
         cached = below * g if below is not None else g**e
         F._cache[key] = cached
@@ -190,8 +196,7 @@ def _character_terms(F: Field, n: int) -> CycInt:
     cached = F._cache.get(key)
     if cached is None:
         p, q1 = F.p, F.q - 1
-        g = gauss_sum(F, 1)
-        cached = _relabel(_gauss_power(F, g, 2), p, -(n + 1)) * _gauss_power(F, g, n + 1)
+        cached = _relabel(_gauss_power(F, 2), p, -(n + 1)) * _gauss_power(F, n + 1)
         cached = cached.shifted(p * ((-(n + 1) * F.dlog(F.elt(-1))) % q1))  # chi^(n+1)(-1)
         F._cache[key] = cached
     return cached

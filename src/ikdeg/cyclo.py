@@ -397,13 +397,30 @@ def lower_conductor(z: CycInt, d: int) -> CycInt:
 
 
 @lru_cache(maxsize=None)
-def _root_rows(m: int) -> dict:
-    """For each j in 0 .. m-1 coprime to m, ascending, the row
-    e^(2*pi*i*j*e/m) for e = 0 .. m-1, read off one table of roots."""
-    roots = [cmath.exp(2j * cmath.pi * e / m) for e in range(m)]
-    return {
-        j: tuple(roots[j * e % m] for e in range(m)) for j in range(m) if gcd(j, m) == 1
-    }
+def _complex_roots(m: int) -> tuple:
+    """e^(2*pi*i*e/m) for e = 0 .. m-1."""
+    return tuple(cmath.exp(2j * cmath.pi * e / m) for e in range(m))
+
+
+def _root_row(m: int, j: int) -> tuple:
+    """e^(2*pi*i*j*e/m) for e = 0 .. m-1, read off the table of roots."""
+    roots = _complex_roots(m)
+    return tuple([roots[j * e % m] for e in range(m)])
+
+
+def _root_rows(m: int):
+    """(j, row of j) for each j in 0 .. m-1 coprime to m, ascending, built
+    one at a time: O(m) memory at a wide conductor such as p(q-1)."""
+    return ((j, _root_row(m, j)) for j in range(m) if gcd(j, m) == 1)
+
+
+# every row of a conductor up to this is kept: phi(m) * m <= 2^16 slots
+_ROWS_KEPT_MAX_M = 256
+
+
+@lru_cache(maxsize=64)
+def _kept_root_rows(m: int) -> tuple:
+    return tuple(_root_rows(m))
 
 
 def _evaluate(coeffs, row) -> complex:
@@ -422,8 +439,9 @@ def embed_all(z: CycInt):
     """Every complex embedding of z in one pass: ({j: value}, error_bound)
     over j coprime to m, ascending. The bound 8 * sum |c| * eps is the
     same for every j, so it is computed once."""
-    c = z.coeffs
-    return {j: _evaluate(c, row) for j, row in _root_rows(z.m).items()}, _error_bound(c)
+    m, c = z.m, z.coeffs
+    rows = _kept_root_rows(m) if m <= _ROWS_KEPT_MAX_M else _root_rows(m)
+    return {j: _evaluate(c, row) for j, row in rows}, _error_bound(c)
 
 
 def embed_complex(z: CycInt, j: int):
@@ -431,4 +449,4 @@ def embed_complex(z: CycInt, j: int):
     embedding of embed_all, with the same floats."""
     if gcd(j, z.m) != 1:
         raise NonCoprimeIndex(f"gcd({j}, {z.m}) != 1")
-    return _evaluate(z.coeffs, _root_rows(z.m)[j % z.m]), _error_bound(z.coeffs)
+    return _evaluate(z.coeffs, _root_row(z.m, j)), _error_bound(z.coeffs)

@@ -306,6 +306,16 @@ class Field:
     def pow_of_generator(self, j: int) -> FieldElt:
         return FieldElt(self, self._pow_table[j % (self.q - 1)])
 
+    def _log_one_minus_powers(self) -> list:
+        """dlog(1 - g^c) for c = 1 .. q-2, read off coordinates with no
+        FieldElt built: 1 - g^c = -1 * (g^c - 1)."""
+        p, q1 = self.p, self.q - 1
+        neg_one = self.dlog(self.elt(-1))
+        return [
+            (self.dlog_table[((g[0] - 1) % p,) + g[1:]] + neg_one) % q1
+            for g in self._pow_table[1:]
+        ]
+
     def dlog(self, x: FieldElt) -> int:
         x = self.elt(x)
         if x.is_zero():
@@ -335,6 +345,10 @@ class Field:
     def _trace_coords(self, coeffs) -> int:
         """Tr of the element with these coordinates, with no FieldElt built."""
         return sum(map(operator.mul, coeffs, self._basis_traces)) % self.p
+
+    def _trace_of_power(self, j: int) -> int:
+        """Tr(g^j), with no FieldElt built."""
+        return self._trace_coords(self._pow_table[j % (self.q - 1)])
 
     def __repr__(self):
         if self.k == 1:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 
 from . import kernels
 from .charsum import gauss_sum, scaled_ik_at_p
@@ -258,37 +258,28 @@ def _certified_valuation(x: PadicElt) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
-def _binomial_rows(p: int) -> tuple:
-    """Row k, for k = 0 .. p-2, holds C(e, k) for e = k .. p-2."""
-    return tuple(tuple(comb(e, k) for e in range(k, p - 1)) for k in range(p - 1))
-
-
 def exact_valuation(z: CycInt) -> int | None:
     """v_pi(z) for z in Z[zeta_p], p prime, exactly; None when z = 0.
 
     Representatives of one element differ by a multiple of
     1 + zeta + ... + zeta^(p-1), so subtracting c_(p-1) leaves the
-    support 0 .. p-2, coefficients c'_e. Writing zeta = 1 + lambda then
-    gives z = sum_(k <= p-2) d_k lambda^k with
-    d_k = sum_(e >= k) C(e, k) c'_e, one C-level sum over a binomial row
-    cached per p. lambda = zeta - 1 is a uniformiser (v_pi(lambda) = 1,
-    v_pi(p) = p-1), so the term valuations (p-1) v_p(d_k) + k are
-    pairwise distinct and the least of them is v_pi(z). Term k has
-    valuation >= k, so the scan stops at the first k that reaches the
-    least valuation found. No precision.
+    support 0 .. p-2. A Taylor shift at zeta = 1 + lambda then writes
+    z = sum_(k <= p-2) d_k lambda^k with integers d_k. lambda = zeta - 1
+    is a uniformiser (v_pi(lambda) = 1, v_pi(p) = p-1), so the term
+    valuations (p-1) v_p(d_k) + k are pairwise distinct and the least of
+    them is v_pi(z). O(p^2) additions, no precision.
     """
     p = z.m
     if not is_prime(p):
         raise WrongConductor(f"conductor {p} is not prime")
     top = z.coeffs[-1]
     d = [c - top for c in z.coeffs[:-1]]
+    for i in range(p - 2):  # sum d_e (1 + lambda)^e: one Horner pass per lambda-digit
+        for j in range(p - 3, i - 1, -1):
+            d[j] += d[j + 1]
     best = None
-    for k, row in enumerate(_binomial_rows(p)):
-        if best is not None and k >= best:
-            break
-        dk = sum(map(operator.mul, row, d[k:]))
-        if dk:
+    for k, dk in enumerate(d):
+        if dk and (best is None or k < best):  # term k has valuation >= k
             v = k
             while dk % p == 0:
                 dk //= p

@@ -353,30 +353,8 @@ def test_exact_valuation_matches_padic_route_on_random_values(p):
         exact_valuation(CycInt.zeta(4 * p))
 
 
-def _horner_valuation(z):
-    """exact_valuation before the early exit, as a reference: the whole
-    Taylor shift by Horner passes, then the least of all term valuations,
-    which must be pairwise distinct."""
-    p = z.m
-    top = z.coeffs[-1]
-    d = [c - top for c in z.coeffs[:-1]]
-    for i in range(p - 2):
-        for j in range(p - 3, i - 1, -1):
-            d[j] += d[j + 1]
-    valuations = []
-    for k, dk in enumerate(d):
-        if dk:
-            v = k
-            while dk % p == 0:
-                dk //= p
-                v += p - 1
-            valuations.append(v)
-    assert len(set(valuations)) == len(valuations)
-    return min(valuations, default=None)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
-def test_early_exit_valuation_matches_horner_and_padic_route(p):
+def test_exact_valuation_on_lambda_adic_grid_matches_padic_route(p):
     # z = p^t * lambda^k * u with u a pi-adic unit (coefficient sum prime to
     # p) has v_pi(z) = t(p-1) + k; t = 1, 2 give valuations >= p-1
     rng = random.Random(100 + p)
@@ -394,21 +372,12 @@ def test_early_exit_valuation_matches_horner_and_padic_route(p):
                 z = p**t * lam**k * u
                 for rep in (z, z + CycInt(p, [rng.randint(-99, 99)] * p)):  # non-canonical
                     v = exact_valuation(rep)
-                    assert v == _horner_valuation(rep) == t * (p - 1) + k, (t, k, rep)
+                    assert v == t * (p - 1) + k, (t, k, rep)
                     assert _certified_valuation(embed_cyclotomic(rep, p, prec)) == v
                     checked += 1
     assert checked == 3 * (p - 1) * len(units) * 2
     for zero in (CycInt.zero(p), CycInt(p, [rng.randint(1, 9)] * p)):
-        assert exact_valuation(zero) is None and _horner_valuation(zero) is None
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
-def test_early_exit_valuation_matches_horner_on_random_values(p):
-    rng = random.Random(200 + p)
-    for _ in range(200):
-        scale = p ** rng.choice((0, 1, 2))
-        z = CycInt(p, [scale * rng.randint(-50, 50) if rng.random() < 0.6 else 0 for _ in range(p)])
-        assert exact_valuation(z) == _horner_valuation(z), z
+        assert exact_valuation(zero) is None
 
 
 def _case_rows():
