@@ -53,14 +53,6 @@ class PrecisionTooLow(IKDegError):
     """Requested pi-adic precision too small for the construction."""
 
 
-class PrecisionExhausted(IKDegError):
-    """No nonzero pi-adic digit lies below the certified truncation order."""
-
-    def __init__(self, prec: int, exact: int):
-        super().__init__(f"no nonzero digit below {exact} (prec {prec})")
-        self.prec = prec
-
-
 class VanishingDifference(IKDegError):
     """A Case I/II/III conjugate difference is exactly zero."""
 

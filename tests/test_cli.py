@@ -78,6 +78,12 @@ def test_verify_stickelberger_single(capsys):
     assert "stickelberger p=7: ok" in out
 
 
+def test_verify_stickelberger_large_prime(capsys):
+    # exact in Z[zeta_p]: no digit count grows with p
+    code, out, _ = run_cli(capsys, "verify", "stickelberger", "--p", "101")
+    assert (code, out) == (0, "stickelberger p=101: ok (m = 0..99)\n")
+
+
 def test_verify_degree_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "degree", "--p", "7", "--n", "2")
     assert code == 0
@@ -160,11 +166,15 @@ def test_commands_never_take_the_wide_route(argv):
         "census --p 3 --p-max 31 --n 1 --n-max 4",
         "verify cases",
         "verify degree --p-max 19",
+        "verify stickelberger",
     ],
 )
 def test_census_and_suites_never_embed_or_build_conjugates(argv):
-    # degrees and valuations are read exactly in Z[zeta_p]
-    _run_stubbed(("embed_cyclotomic", "zeta_p_padic", "teichmuller", "conjugate_set"), argv)
+    # degrees and valuations are read exactly in Z[zeta_p]; no command
+    # constructs a truncated p-adic element
+    _run_stubbed(
+        ("embed_cyclotomic", "zeta_p_padic", "teichmuller", "PadicElt", "conjugate_set"), argv
+    )
 
 
 def test_census_reads_rho0_once_and_one_gauss_product_per_power(monkeypatch, capsys):

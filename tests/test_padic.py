@@ -10,6 +10,7 @@ from ikdeg import (
     default_precision,
     embed_cyclotomic,
     exact_valuation,
+    gauss_sum,
     get_field,
     ik_formula_scaled,
     run_case_analysis,
@@ -24,7 +25,6 @@ from ikdeg.errors import (
     DegenerateIndex,
     IKDegError,
     InvalidParameters,
-    PrecisionExhausted,
     PrecisionMismatch,
     PrecisionTooLow,
     UnsupportedConductor,
@@ -33,8 +33,31 @@ from ikdeg.errors import (
     ZeroParameter,
 )
 from ikdeg.ff import is_prime
-from ikdeg.padic import _certified_valuation, _embedded_scaled_ik
-from ikdeg.suites import CASE_I_PAIRS, CASE_II_PAIRS, CASE_III_PAIRS, DEGREE_N_MAX, DEGREE_P_MAX
+from ikdeg.padic import _embedded_scaled_ik, sigma_digit_sum
+from ikdeg.suites import (
+    CASE_I_PAIRS,
+    CASE_II_PAIRS,
+    CASE_III_PAIRS,
+    DEGREE_N_MAX,
+    DEGREE_P_MAX,
+    STICKELBERGER_PRIMES,
+    stickelberger_suite,
+)
+
+
+def _certified_valuation(x):
+    """Oracle: v_pi from the certified digits of a truncated embedding, None
+    where they are all zero. zeta_p_padic(p, prec) is exact only mod
+    pi^(prec-p+1), so higher digits are uncertified."""
+    v = x.pi_valuation
+    return v if v is not None and v < x.prec - x.p + 1 else None
+
+
+def _oracle_case_valuation(p, n, b, a, prec):
+    """The truncated route's certified v_pi of case_analysis's difference."""
+    b2 = b * pow(a, -(n + 1), p) % p
+    diff = _embedded_scaled_ik(p, n, b, prec) - _embedded_scaled_ik(p, n, b2, prec)
+    return _certified_valuation(diff)
 
 
 def test_carry_rule():
@@ -201,6 +224,65 @@ def test_stickelberger_examples():
         stickelberger_check(5, 4)
 
 
+def test_stickelberger_reading_is_the_digit_sum_up_to_43():
+    for p in (q for q in range(2, 44) if is_prime(q)):
+        for m in range(p - 1):
+            assert stickelberger_check(p, m) == (sigma_digit_sum(m, p), m, True), (p, m)
+
+
+@pytest.mark.parametrize("p", STICKELBERGER_PRIMES)
+def test_stickelberger_reading_matches_truncated_oracle(p):
+    F = get_field(p)
+    prec = default_precision(p)
+    for m in range(p - 1):
+        G = gauss_sum(F, m)
+        embedded = embed_cyclotomic(G, p, prec)
+        assert stickelberger_check(p, m)[1] == _certified_valuation(embedded) == m
+        # g in place of zeta_{p-1} moves the embedding by a multiple of p
+        residue = padic._teichmuller_residue(G, p, F.generator.coeffs[0])
+        shift = _certified_valuation(embed_cyclotomic(residue, p, prec) - embedded)
+        assert shift is None or shift >= p - 1
+
+
+def _wrong_generator(monkeypatch):
+    residue = padic._teichmuller_residue
+    monkeypatch.setattr(padic, "_teichmuller_residue", lambda z, p, g: residue(z, p, g + 1))
+
+
+def _wrong_multiplier(which):
+    def mutate(monkeypatch):
+        split = padic._exponent_split
+
+        def wrong(m, p):
+            muls = list(split(m, p))
+            muls[which] += 1
+            return tuple(muls)
+
+        monkeypatch.setattr(padic, "_exponent_split", wrong)
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate", [_wrong_generator, _wrong_multiplier(0), _wrong_multiplier(1)],
+    ids=["g+1", "zeta_p multiplier", "zeta_(p-1) multiplier"],
+)
+def test_stickelberger_mutants_fail(monkeypatch, mutate):
+    mutate(monkeypatch)
+    ok, lines = stickelberger_suite()
+    assert not ok
+    assert all("FAIL" in line for line in lines), lines
+
+
+def test_stickelberger_reading_of_p_times_gauss_sum_fails(monkeypatch):
+    # p G is congruent to 0 mod p, so its reading says nothing below p - 1
+    monkeypatch.setattr(padic, "gauss_sum", lambda F, m: F.p * gauss_sum(F, m))
+    for p in STICKELBERGER_PRIMES:
+        for m in range(p - 1):
+            predicted, observed, ok = stickelberger_check(p, m)
+            assert observed >= p - 1 and not ok, (p, m)
+
+
 def test_valuation_formulas():
     assert valuation_formulas(7, 1, 1) == 10
     assert valuation_formulas(7, 1, 2) == 8
@@ -251,20 +333,18 @@ def test_case_guards():
 
 
 def test_valuation_only_from_certified_digits():
-    # zeta_p_padic(7, prec) is exact only mod pi^(prec-6): at prec 12 the
-    # first nonzero digit (index 8) is not certified, at prec 15 it is
-    for prec in (12, 14):
-        with pytest.raises(PrecisionExhausted):
-            case_analysis(7, 1, 1, 2, prec=prec)
-    assert case_analysis(7, 1, 1, 2, prec=15).observed_valuation == 8
+    # zeta_p_padic(7, prec) is exact only mod pi^(prec-6): at prec 12 and 14
+    # the first nonzero digit (index 8) is not certified, at prec 15 it is
+    for prec, certified in ((12, None), (14, None), (15, 8)):
+        assert _oracle_case_valuation(7, 1, 1, 2, prec) == certified
     assert run_case_analysis(7, 1, 1, 2).observed_valuation == 8
 
 
 def test_explicit_precision_agrees_with_default():
-    rep1 = case_analysis(7, 1, 2, 3)
-    rep2 = case_analysis(7, 1, 2, 3, prec=default_precision(7) * 2)
-    assert rep1.case_label == rep2.case_label
-    assert rep1.observed_valuation == rep2.observed_valuation
+    # the truncated route at twice its default precision certifies the exact reading
+    rep = case_analysis(7, 1, 2, 3)
+    assert rep.case_label == "I"
+    assert _oracle_case_valuation(7, 1, 2, 3, 2 * default_precision(7)) == rep.observed_valuation
 
 
 def test_default_precision_reaches_the_prediction():
@@ -295,15 +375,6 @@ def test_pow_costs_log_plus_popcount_minus_one_products(monkeypatch):
         assert y == expected
 
 
-def _certified_or_none(x):
-    """Oracle: v_pi from the certified digits of a truncated embedding,
-    None where they are all zero."""
-    try:
-        return _certified_valuation(x)
-    except PrecisionExhausted:
-        return None
-
-
 def _agrees_with_padic_route(v, certified, p, prec):
     # certified digits give v exactly; none certified means v >= prec - p + 1
     if certified is not None:
@@ -324,7 +395,7 @@ def test_exact_valuation_matches_padic_route_on_degree_grid():
                     # the embedding is a ring map, so the difference of the embeddings
                     # is the embedding of the difference
                     diff = _embedded_scaled_ik(p, n, b, prec) - _embedded_scaled_ik(p, n, b2, prec)
-                    certified = _certified_or_none(diff)
+                    certified = _certified_valuation(diff)
                     assert _agrees_with_padic_route(v, certified, p, prec), (p, n, b, b2)
                     pairs += 1
     assert pairs == 12588
@@ -344,7 +415,7 @@ def test_exact_valuation_matches_padic_route_on_random_values(p):
             values += [z, z + CycInt(p, [rng.randint(-99, 99)] * p)]
         for z in values:
             v = exact_valuation(z)
-            certified = _certified_or_none(embed_cyclotomic(z, p, prec))
+            certified = _certified_valuation(embed_cyclotomic(z, p, prec))
             assert _agrees_with_padic_route(v, certified, p, prec), (z, prec)
             certified_count += certified is not None
         assert exact_valuation(values[0]) is None and exact_valuation(values[1]) is None
@@ -380,6 +451,52 @@ def test_exact_valuation_on_lambda_adic_grid_matches_padic_route(p):
         assert exact_valuation(zero) is None
 
 
+def _taylor_shift_valuation(z):
+    """Reference: the full Taylor shift at zeta = 1 + lambda (one Horner pass
+    per lambda-digit d_k), then the least (p-1) v_p(d_k) + k over every k."""
+    p = z.m
+    d = [c - z.coeffs[-1] for c in z.coeffs[:-1]]
+    for i in range(p - 2):
+        for j in range(p - 3, i - 1, -1):
+            d[j] += d[j + 1]
+    terms = []
+    for k, dk in enumerate(d):
+        if dk:
+            v = k
+            while dk % p == 0:
+                dk //= p
+                v += p - 1
+            terms.append(v)
+    return min(terms, default=None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+def test_exact_valuation_closed_form_and_full_taylor_shift(p):
+    # z = p^t * lambda^k * u, u a unit, t <= 3, k <= p-2: v_pi(z) = t(p-1) + k,
+    # also where the truncated route would need many digits to certify it
+    rng = random.Random(200 + p)
+    lam = CycInt(p, [-1, 1])
+    units = [CycInt.from_int(p, 1), CycInt.from_int(p, -1)]
+    while len(units) < 5:
+        u = CycInt(p, [rng.randint(-20, 20) for _ in range(p)])
+        if sum(u.coeffs) % p:
+            units.append(u)
+    lam_k = CycInt.from_int(p, 1)
+    for k in range(p - 1):
+        for t in range(4):
+            for u in units:
+                z = p**t * lam_k * u + CycInt(p, [rng.randint(-99, 99)] * p)  # non-canonical
+                v = exact_valuation(z)
+                assert v == _taylor_shift_valuation(z) == t * (p - 1) + k, (t, k, z)
+        lam_k = lam_k * lam
+    for _ in range(200):
+        scale = p ** rng.choice((0, 1, 2, 3))
+        z = CycInt(p, [scale * rng.randint(-50, 50) if rng.random() < 0.7 else 0 for _ in range(p)])
+        assert exact_valuation(z) == _taylor_shift_valuation(z), z
+    for zero in (CycInt.zero(p), CycInt(p, [rng.randint(1, 9)] * p), CycInt(p, [p**3] * p)):
+        assert exact_valuation(zero) is None
+
+
 def _case_rows():
     """One Case I/II/III row for each (p, n) of the cases suite."""
     for p, n in CASE_I_PAIRS + CASE_II_PAIRS + CASE_III_PAIRS:
@@ -389,16 +506,12 @@ def _case_rows():
 
 @pytest.mark.parametrize("p,n,b,a", list(_case_rows()))
 def test_explicit_precision_exhausts_exactly_where_padic_route_does(p, n, b, a):
-    b2 = b * pow(a, -(n + 1), p) % p
+    # at each precision the truncated route certifies the exact reading, or
+    # no digit exactly where that reading is at least prec - p + 1
     exact = case_analysis(p, n, b, a).observed_valuation
     for prec in range(2 * (p - 1), exact + 2 * p):
-        diff = _embedded_scaled_ik(p, n, b, prec) - _embedded_scaled_ik(p, n, b2, prec)
-        certified = _certified_or_none(diff)
-        if certified is None:
-            with pytest.raises(PrecisionExhausted):
-                case_analysis(p, n, b, a, prec)
-        else:
-            assert case_analysis(p, n, b, a, prec).observed_valuation == certified == exact
+        certified = exact if exact < prec - p + 1 else None
+        assert _oracle_case_valuation(p, n, b, a, prec) == certified, prec
 
 
 def test_zero_case_difference_raises_naming_the_row(monkeypatch):
