@@ -280,7 +280,11 @@ def bounds_check(F: Field, n: int, b):
     embeddings; lhs2 and rhs2 are None when p divides n+1.
     """
     b = _check_ik_args(F, n, b)
-    z = scaled_ik_at_p(F, n, b)
+    return value_bounds(F, n, scaled_ik_at_p(F, n, b))
+
+
+def value_bounds(F: Field, n: int, z: CycInt):
+    """bounds_check for the value z = scaled_ik_at_p(F, n, b), already built."""
     q = F.q
     second = (n + 1) % F.p != 0
     rhs1 = float(q) ** ((n + 1) / 2)

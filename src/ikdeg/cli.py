@@ -6,17 +6,16 @@ Exit codes: 0 full pass, 1 any verification failure, 2 invalid parameters.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from math import gcd
 
 from . import suites
-from .charsum import DEFAULT_BUDGET, bounds_check, inverted_kloosterman_brute, scaled_ik_at_p
+from .charsum import DEFAULT_BUDGET, inverted_kloosterman_brute, scaled_ik_at_p, value_bounds
 from .cyclo import change_conductor, embed_all
 from .errors import BudgetExceeded, IKDegError, InvalidParameters
 from .ff import Field, get_field, is_prime
 from .galois import degree_of, min_poly
-from .padic import run_case_analysis
+from .padic import case_report, exact_valuation
 
 
 CSV_FIELDS = [
@@ -48,22 +47,30 @@ def _fmt_cell(v):
     return str(v)
 
 
-def census_record(F: Field, n: int, b) -> dict:
-    """One census row, keyed by CSV_FIELDS."""
+def census_record(F: Field, n: int, j: int, values: list) -> dict:
+    """The census row of b = g^j, keyed by CSV_FIELDS.
+
+    values[i] is scaled_ik_at_p(F, n, g^i) for i = 0 .. q-2. Every column
+    reads values[j]: its degree, its bounds and, over F_p, the case
+    analysis with a = g, whose conjugate b g^-(n+1) is values[j - n - 1].
+    """
     p = F.p
-    degree = degree_of(scaled_ik_at_p(F, n, b))
+    z = values[j]
+    b = F.pow_of_generator(j)
+    degree = degree_of(z)
     bound = (p - 1) // gcd(n + 1, p - 1)
     case_label, pred, obs = "", None, None
     if F.k == 1:
-        rep = run_case_analysis(p, n, b.coeffs[0], F.generator.coeffs[0])
+        observed = exact_valuation(z - values[(j - n - 1) % (p - 1)])
+        rep = case_report(p, n, b.coeffs[0], F.generator.coeffs[0], observed)
         case_label, pred, obs = rep.case_label, rep.predicted_valuation, rep.observed_valuation
-    values = (
+    row = (
         p, F.k, F.q, n, b.serialize(), degree, bound,
         (degree == bound) if F.k == 1 else "n/a",  # degree_matches
-        *bounds_check(F, n, b),
+        *value_bounds(F, n, z),
         case_label, pred, obs,
     )
-    return dict(zip(CSV_FIELDS, values))
+    return dict(zip(CSV_FIELDS, row))
 
 
 def _emit(records, fmt, out):
@@ -73,6 +80,8 @@ def _emit(records, fmt, out):
             lines.append(",".join(_fmt_cell(r[f]) for f in CSV_FIELDS))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
+        import json  # only here: it costs every other command its import time
+
         rows = [
             {f: (r[f] if not isinstance(r[f], float) else float(f"{r[f]:.12g}")) for f in CSV_FIELDS}
             for r in records
@@ -149,16 +158,20 @@ def cmd_census(args) -> int:
     primes = [p for p in range(p_lo, p_hi + 1) if is_prime(p)]
     if not primes or n_hi < n_lo:
         raise InvalidParameters("empty parameter range")
-    fields = [get_field(p, k) for p in primes]
-    work = [
-        (F, n, F.pow_of_generator(j))
-        for F in fields
-        for n in range(n_lo, n_hi + 1)
-        for j in range(F.q - 1)
-    ]
-    records = [census_record(*item) for item in work]
+    records = []
+    for F in [get_field(p, k) for p in primes]:
+        for n in range(n_lo, n_hi + 1):
+            # each value once, in dlog order; every record reads from them
+            values = [scaled_ik_at_p(F, n, F.pow_of_generator(j)) for j in range(F.q - 1)]
+            records += [census_record(F, n, j, values) for j in range(F.q - 1)]
     _emit(records, args.format, args.out)
     return 0
+
+
+def _dict_json(z) -> str:
+    """json.dumps(z.to_dict()), byte for byte: {"m": m, "coeffs": [c0, c1, ...]}."""
+    d = z.to_dict()
+    return f'{{"m": {d["m"]}, "coeffs": [{", ".join(map(str, d["coeffs"]))}]}}'
 
 
 def cmd_sum(args) -> int:
@@ -169,13 +182,13 @@ def cmd_sum(args) -> int:
     value, scale, code = None, 1, 0  # value is scale * IK, at conductor p
     if args.path in ("brute", "both"):
         value = inverted_kloosterman_brute(F, n, b, args.budget)
-        print(f"brute IK_{n}({q}, {b.serialize()}) = {json.dumps(value.to_dict())}")
+        print(f"brute IK_{n}({q}, {b.serialize()}) = {_dict_json(value)}")
     if args.path in ("formula", "both"):
         z_p = scaled_ik_at_p(F, n, b)
         wide = change_conductor(z_p, F.p * (q - 1))
         print(
             f"formula {q * (q - 1)}*IK_{n}({q}, {b.serialize()}) = "
-            f"{json.dumps(wide.reduced().to_dict())}"
+            f"{_dict_json(wide.reduced())}"
         )
         if value is None:
             value, scale = z_p, q * (q - 1)
@@ -212,22 +225,26 @@ def _int_options(parser, flags: str):
             group.add_argument(flag, type=int, default=DEFAULT_BUDGET if flag == "--budget" else None)
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser of every command. Given the command word that starts
+    the arguments, a command other than verify leaves out the suite
+    parsers; every command name stays registered."""
     ap = _Parser(prog="ikdeg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.set_defaults(func=cmd_verify)
-    suite = pv.add_subparsers(dest="suite", required=True)  # each reads only its own options
-    for name, flags in (
-        ("identity", "--p --n --budget"),
-        ("degree", "--p|--p-max --n|--n-max"),  # --p and --n are maxima
-        ("stickelberger", "--p|--p-max"),
-        ("cases", ""),
-        ("bounds", ""),
-        ("all", ""),
-    ):
-        _int_options(suite.add_parser(name), flags)
+    if command in (None, "verify"):
+        suite = pv.add_subparsers(dest="suite", required=True)  # each reads only its own options
+        for name, flags in (
+            ("identity", "--p --n --budget"),
+            ("degree", "--p|--p-max --n|--n-max"),  # --p and --n are maxima
+            ("stickelberger", "--p|--p-max"),
+            ("cases", ""),
+            ("bounds", ""),
+            ("all", ""),
+        ):
+            _int_options(suite.add_parser(name), flags)
 
     pc = sub.add_parser("census", help="parameter-sweep census")
     _int_options(pc, "--p --p-max --k --n --n-max")
@@ -244,8 +261,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         if args.command == "sum":
             if args.p is None or args.n is None or args.b is None:
                 raise InvalidParameters("sum needs --p, --n, and --b")

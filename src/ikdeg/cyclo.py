@@ -59,6 +59,9 @@ class IntPoly:
         rem = list(self.coeffs)
         dlead = other.coeffs[-1]
         ddeg = other.degree
+        # only the divisor's nonzero coefficients touch the remainder
+        # (Phi_930 has 73 of 241)
+        terms = [(i - ddeg, dc) for i, dc in enumerate(other.coeffs) if dc]
         quo = [0] * max(len(rem) - ddeg, 0)
         for top in range(len(rem) - 1, ddeg - 1, -1):
             c = rem[top]
@@ -68,8 +71,8 @@ class IntPoly:
             if r != 0:
                 raise ValueError("division not exact over Z")
             quo[top - ddeg] = q
-            for i, dc in enumerate(other.coeffs):
-                rem[top - ddeg + i] -= q * dc
+            for i, dc in terms:
+                rem[top + i] -= q * dc
         return IntPoly(quo), IntPoly(rem)
 
     def __mod__(self, other):

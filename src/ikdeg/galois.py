@@ -84,8 +84,12 @@ def min_poly(z: CycInt) -> IntPoly:
     # prod (x - c) over the orbit = sum_k (-1)^k e_k x^(d-k)
     poly = IntPoly([(-1) ** k * e[k] for k in range(d, -1, -1)])
     assert poly.is_monic() and poly.degree == d
-    value = poly(z)
-    assert value.is_zero(), "minimal polynomial does not vanish at z (bug)"
+    # poly(z) as a linear combination of the powers already held: no product
+    value = [0] * p
+    value[0] = poly.coeffs[0]
+    for c, w in zip(poly.coeffs[1:], powers):
+        value = [v + c * x for v, x in zip(value, w.coeffs)]
+    assert CycInt(p, value).is_zero(), "minimal polynomial does not vanish at z (bug)"
     return poly
 
 

@@ -5,10 +5,63 @@ coefficient, the two integers are multiplied once (CPython's big-int
 multiplication is subquadratic), and the product's coefficients are read
 back as balanced digits. Packing and unpacking go through `int.to_bytes`
 and `int.from_bytes` on byte-aligned slots, so both are linear in the
-number of slots. Coefficients may be arbitrarily large. See Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
-arXiv:0712.4046.
+number of slots. A slot of at most 8 bytes, in a sequence longer than its
+width, goes through one signed little-endian 8-byte word per coefficient
+(one `struct.pack` of the sequence), w strided byte copies between the
+words and the slots and one `bytes.translate` of the slots' top bytes,
+with no Python-level step per coefficient. Wider slots, and sequences
+no longer than w (where the w strided copies cost more than the slots),
+go one `to_bytes` or `from_bytes` per coefficient. Coefficients may be
+arbitrarily large. See Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", arXiv:0712.4046.
 """
+
+import struct
+
+_FLIP = bytes(range(128, 256)) + bytes(range(128))  # each byte with bit 7 flipped
+_SIGN = bytes(128) + b"\xff" * 128  # 0xff for a byte with bit 7 set, else 0
+
+
+def _by_words(n, w):
+    """Whether n slots of w bytes go through 8-byte words."""
+    return w <= 8 and n > w
+
+
+def _pack(seq, w, half):
+    """The little-endian bytes of the slots x + half, w bytes each.
+
+    With |x| < half = 2^(8w-1), x + half is the w-byte two's complement
+    of x with bit 7 of its top byte flipped, so the word path copies the
+    low w bytes of each signed word and flips the top one.
+    """
+    n = len(seq)
+    if not _by_words(n, w):
+        return b"".join([(x + half).to_bytes(w, "little") for x in seq])
+    raw = struct.pack(f"<{n}q", *seq)
+    out = bytearray(n * w)
+    for k in range(w - 1):
+        out[k::w] = raw[k::8]
+    out[w - 1 :: w] = raw[w - 1 :: 8].translate(_FLIP)
+    return out
+
+
+def _unpack(buf, n, w, half):
+    """The n w-byte little-endian slots of buf, each less half.
+
+    The word path undoes _pack: it flips bit 7 of each top byte and
+    sign-extends every slot to a signed 8-byte word.
+    """
+    if not _by_words(n, w):
+        return [int.from_bytes(buf[i : i + w], "little") - half for i in range(0, n * w, w)]
+    wide = bytearray(8 * n)
+    for k in range(w - 1):
+        wide[k::8] = buf[k::w]
+    top = buf[w - 1 :: w].translate(_FLIP)
+    wide[w - 1 :: 8] = top
+    sign = top.translate(_SIGN)
+    for k in range(w, 8):
+        wide[k::8] = sign
+    return list(struct.unpack(f"<{n}q", wide))
 
 
 def _bias(n, w):
@@ -31,17 +84,15 @@ def _product(a, b):
     half = 1 << (8 * w - 1)
     # Bias every coefficient by `half` so the slots are unsigned bytes,
     # then subtract the bias from the packed integer as a whole.
-    pa = int.from_bytes(b"".join([(x + half).to_bytes(w, "little") for x in a]), "little")
-    pb = int.from_bytes(b"".join([(x + half).to_bytes(w, "little") for x in b]), "little")
+    pa = int.from_bytes(_pack(a, w, half), "little")
+    pb = int.from_bytes(_pack(b, w, half), "little")
     return (pa - _bias(len(a), w)) * (pb - _bias(len(b), w)), w
 
 
 def _digits(e, n, w):
     """Read n w-byte slots of e, each less the bias 2^(8w-1): the balanced
     digits of e - _bias(n, w)."""
-    half = 1 << (8 * w - 1)
-    buf = e.to_bytes(n * w, "little")
-    return [int.from_bytes(buf[i : i + w], "little") - half for i in range(0, n * w, w)]
+    return _unpack(e.to_bytes(n * w, "little"), n, w, 1 << (8 * w - 1))
 
 
 def linear_convolve(a, b):

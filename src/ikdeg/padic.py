@@ -361,6 +361,49 @@ def _embedded_scaled_ik(p: int, n: int, b: int, prec: int) -> PadicElt:
     return embed_cyclotomic(scaled_ik_at_p(get_field(p), n, b), p, prec)
 
 
+@lru_cache(maxsize=4096)
+def _case_class(p: int, n: int, a: int):
+    """The fields of a CaseReport that depend only on (p, n, a), a a unit
+    mod p: (case_label, h, k, m_star, predicted_valuation, boundary_flagged)."""
+    if (n + 1) % (p - 1) == 0:
+        return "trivial", None, None, None, None, False
+    if pow(a, gcd(n + 1, p - 1), p) == 1:
+        return "stabilized", None, None, None, None, False
+    k = m_star = None
+    if p - 1 > n + 1:
+        label = "I"
+        h = (p - 2) // (n + 1)  # p-1 = k + (n+1)h with 1 <= k <= n+1
+        k = (p - 1) - (n + 1) * h
+        m_star = max(
+            m for m in range(1, h + 1) if pow(a, ((n + 1) * m) % (p - 1), p) != 1
+        )
+        predicted = valuation_formulas(p, n, m_star)
+    else:
+        # Case II, or III from 2(p-1) <= n+1 on; the boundary
+        # p-1 = (n+1)/2 is handled as Case III by convention
+        label = "II" if 2 * (p - 1) > n + 1 else "III"
+        h = (n + 1) % (p - 1)
+        predicted = valuation_formulas(p, n, 1)
+    return label, h, k, m_star, predicted, 2 * (p - 1) == n + 1
+
+
+def case_report(p: int, n: int, b: int, a: int, observed: int | None) -> CaseReport:
+    """The CaseReport of case_analysis(p, n, b, a) whose conjugate
+    difference has valuation observed (None for zero); b and a are units
+    in 1 .. p-1. A zero difference in Case I, II or III raises
+    VanishingDifference."""
+    label, h, k, m_star, predicted, boundary = _case_class(p, n, a)
+    if predicted is None:  # trivial or stabilized: the difference must vanish
+        return CaseReport(p, n, b, a, label, h, k, m_star, None, None, False, observed is None)
+    if observed is None:
+        raise VanishingDifference(
+            f"Case {label} difference is zero at p={p} n={n} b={b} a={a}"
+        )
+    return CaseReport(
+        p, n, b, a, label, h, k, m_star, predicted, observed, boundary, observed == predicted
+    )
+
+
 def case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:
     """Predicted vs observed main-term valuation of the scaled conjugate
     difference p(p-1) * (IK_n(b) - IK_n(b a^-(n+1))).
@@ -381,44 +424,7 @@ def case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:
     F = get_field(p)
     b2 = (b * pow(a, -(n + 1), p)) % p
     observed = exact_valuation(scaled_ik_at_p(F, n, b) - scaled_ik_at_p(F, n, b2))
-    g1 = gcd(n + 1, p - 1)
-    if (n + 1) % (p - 1) == 0:
-        ok = observed is None
-        return CaseReport(p, n, b, a, "trivial", None, None, None, None, None, False, ok)
-    if pow(a, g1, p) == 1:
-        ok = observed is None
-        return CaseReport(
-            p, n, b, a, "stabilized", None, None, None, None, None, False, ok
-        )
-
-    boundary = 2 * (p - 1) == n + 1
-    k = None
-    m_star = None
-    if p - 1 > n + 1:
-        label = "I"
-        h = (p - 2) // (n + 1)  # p-1 = k + (n+1)h with 1 <= k <= n+1
-        k = (p - 1) - (n + 1) * h
-        m_star = max(
-            m for m in range(1, h + 1) if pow(a, ((n + 1) * m) % (p - 1), p) != 1
-        )
-        predicted = valuation_formulas(p, n, m_star)
-    elif 2 * (p - 1) > n + 1:
-        label = "II"
-        h = (n + 1) % (p - 1)
-        predicted = valuation_formulas(p, n, 1)
-    else:
-        # boundary p-1 = (n+1)/2 handled as Case III by convention
-        label = "III"
-        h = (n + 1) % (p - 1)
-        predicted = valuation_formulas(p, n, 1)
-
-    if observed is None:
-        raise VanishingDifference(
-            f"Case {label} difference is zero at p={p} n={n} b={b} a={a}"
-        )
-    return CaseReport(
-        p, n, b, a, label, h, k, m_star, predicted, observed, boundary, observed == predicted
-    )
+    return case_report(p, n, b, a, observed)
 
 
 def run_case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ikdeg import charsum, ff, get_field, ik_formula_scaled, kernels
-from ikdeg.cli import CSV_FIELDS, build_parser, main
+from ikdeg import (
+    bounds_check, charsum, cli, ff, get_field, ik_formula_scaled, kernels, run_case_analysis,
+)
+from ikdeg.cli import CSV_FIELDS, _fmt_cell, build_parser, main
 from ikdeg.errors import InvalidParameters
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -61,9 +63,9 @@ def test_python_dash_m_entry_point():
 def test_cli_import_leaves_out_dataclasses():
     script = (
         "import sys\n"
-        "before = 'dataclasses' in sys.modules\n"
+        "before = {m for m in ('dataclasses', 'json') if m in sys.modules}\n"
         "import ikdeg.cli\n"
-        "assert before or 'dataclasses' not in sys.modules\n"
+        "assert {'dataclasses', 'json'} & set(sys.modules) <= before\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -103,6 +105,9 @@ def test_sum_both_paths(capsys):
     assert code == 0
     assert "paths agree: True" in out
     assert "degree(IK) = 1" in out
+    # the value lines are written without json, byte for byte as json.dumps
+    want = charsum.inverted_kloosterman_brute(get_field(3), 1, 1).to_dict()
+    assert out.splitlines()[0] == f"brute IK_1(3, 1) = {json.dumps(want)}"
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (31, 1)])
@@ -267,6 +272,33 @@ def test_census_csv(capsys):
         assert cells["degree_matches"] == "true"
         assert cells["case_label"] == "I"
         assert cells["predicted_val"] == cells["observed_val"] == "8"
+
+
+@pytest.mark.parametrize(
+    "argv", ["--p 2 --p-max 13 --n 1 --n-max 6", "--p 3 --k 2 --n 1 --n-max 6"]
+)
+def test_census_columns_match_case_analysis_and_bounds_check(capsys, argv):
+    # the census reads each value once and derives every column from it;
+    # each row must equal the per-b library calls it replaces
+    code, out, _ = run_cli(capsys, "census", *argv.split())
+    assert code == 0
+    rows = [dict(zip(CSV_FIELDS, line.split(","))) for line in out.splitlines()[1:]]
+    case_cols = ("case_label", "predicted_val", "observed_val")
+    bound_cols = ("bound1_lhs", "bound1_rhs", "bound2_lhs", "bound2_rhs")
+    for row in rows:
+        F, n = get_field(int(row["p"]), int(row["k_ext"])), int(row["n"])
+        b = F.elt([int(c) for c in row["b"].split(":")])
+        want = bounds_check(F, n, b)
+        assert tuple(row[c] for c in bound_cols) == tuple(map(_fmt_cell, want))
+        if F.k == 1:
+            rep = run_case_analysis(F.p, n, b.coeffs[0], F.generator.coeffs[0])
+            want = (rep.case_label, rep.predicted_valuation, rep.observed_valuation)
+        else:
+            want = ("", None, None)
+        assert tuple(row[c] for c in case_cols) == tuple(map(_fmt_cell, want))
+    k = int(rows[0]["k_ext"])
+    units = sum(p**k - 1 for p in range(2, 14) if ff.is_prime(p)) if k == 1 else 8
+    assert len(rows) == 6 * units
 
 
 def test_census_case_iii_at_large_n(capsys):
@@ -440,6 +472,28 @@ def test_each_command_accepts_exactly_what_it_reads():
     for command, reads in READS.items():
         assert {f for f in VALUES if accepts(command, f)} == set(reads), command
     assert sum(map(len, READS.values())) == 22
+
+
+def test_main_builds_the_suite_parsers_only_for_verify(monkeypatch):
+    # a cold sum or census query skips the six suite parsers; the command
+    # names all stay registered, so an unknown command reads as before
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    for argv, parsers in (
+        ("sum --p 5 --n 1 --b 1", 4), ("census --p 3", 4), ("verify cases", 10), ("bogus", 4),
+    ):
+        built.clear()
+        run_main(argv.split())
+        assert len(built) == parsers, argv
+    with pytest.raises(InvalidParameters) as full:
+        build_parser().parse_args(["bogus"])
+    assert run_main(["bogus"]) == (2, "", f"error: {full.value}\n")
 
 
 def _not_int(text):

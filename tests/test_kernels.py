@@ -8,8 +8,7 @@ from ikdeg import kernels
 def schoolbook(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        out[i : i + len(b)] = [c + x * y for c, y in zip(out[i : i + len(b)], b)]
     return out
 
 
@@ -31,11 +30,14 @@ def test_cyclic_length_mismatch():
         kernels.cyclic_convolve([1, 2], [1])
 
 
-# 930 is the longest convolution in the benchmark's kernel traffic, and
-# its coefficients reach 997 bits; 2**1000 covers that.
-@pytest.mark.parametrize("size", [1, 2, 7, 64, 311, 930])
-def test_pure_matches_compiled(size):
-    """The Kronecker kernel against the schoolbook product, linear and cyclic."""
+SIZES = [1, 2, 7, 64, 311, 930]
+# coefficient ranges whose slots take every width from 1 to 9 bytes
+NARROW = (1, 127, 2**12, 2**16, 2**20, 2**28)
+
+
+def _cases(size):
+    """Pairs of equal-length sequences: random in each range, one-signed,
+    zero and all at the bound, for wide and narrow slots."""
     rng = random.Random(size)
 
     def draw(lo, hi):
@@ -46,6 +48,20 @@ def test_pure_matches_compiled(size):
     cases.append((draw(-(2**70), 0), draw(-(2**70), 0)))
     cases.append(([0] * size, draw(-(2**70), 2**70)))
     cases.append(([2**70] * size, [-(2**70)] * size))  # every product at the bound
+    cases.append((draw(0, 1), draw(0, 1)))
+    for top in NARROW:
+        cases.append((draw(-top, top), draw(-top, top)))
+        cases.append(([top] * size, [-top] * size))
+        cases.append(([-top] * size, [-top] * size))
+    return cases
+
+
+# 930 is the longest convolution in the benchmark's kernel traffic, and
+# its coefficients reach 997 bits; 2**1000 covers that.
+@pytest.mark.parametrize("size", SIZES)
+def test_pure_matches_compiled(size):
+    """The Kronecker kernel against the schoolbook product, linear and cyclic."""
+    cases = _cases(size)
     a, b = cases[0]
     short = b[: size // 2 + 1]
     assert kernels.linear_convolve(a, short) == schoolbook(a, short)
@@ -56,6 +72,32 @@ def test_pure_matches_compiled(size):
         for i in range(size, len(want)):
             folded[i - size] += want[i]
         assert kernels.cyclic_convolve(a, b) == folded
+
+
+def test_cases_run_every_slot_width_on_both_paths(monkeypatch):
+    # every width w <= 8 is packed and unpacked both through 8-byte words
+    # and slot by slot; w = 9 only slot by slot
+    seen = set()
+    pack, unpack = kernels._pack, kernels._unpack
+
+    def spy_pack(seq, w, half):
+        seen.add(("pack", w, kernels._by_words(len(seq), w)))
+        return pack(seq, w, half)
+
+    def spy_unpack(buf, n, w, half):
+        seen.add(("unpack", w, kernels._by_words(n, w)))
+        return unpack(buf, n, w, half)
+
+    monkeypatch.setattr(kernels, "_pack", spy_pack)
+    monkeypatch.setattr(kernels, "_unpack", spy_unpack)
+    for size in SIZES:
+        for a, b in _cases(size):
+            kernels.linear_convolve(a, b)
+            kernels.cyclic_convolve(a, b)
+    for step in ("pack", "unpack"):
+        for w in range(1, 9):
+            assert (step, w, True) in seen and (step, w, False) in seen, (step, w)
+        assert (step, 9, False) in seen
 
 
 def test_kronecker_signs():
