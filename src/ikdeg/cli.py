@@ -168,13 +168,9 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _dict_json(z) -> str:
-    """json.dumps(z.to_dict()), byte for byte: {"m": m, "coeffs": [c0, c1, ...]}."""
-    d = z.to_dict()
-    return f'{{"m": {d["m"]}, "coeffs": [{", ".join(map(str, d["coeffs"]))}]}}'
-
-
 def cmd_sum(args) -> int:
+    import json  # only here, as in _emit
+
     F = get_field(args.p, _first(args.k, 1))
     b = _parse_b(F, args.b)
     n = args.n
@@ -182,13 +178,13 @@ def cmd_sum(args) -> int:
     value, scale, code = None, 1, 0  # value is scale * IK, at conductor p
     if args.path in ("brute", "both"):
         value = inverted_kloosterman_brute(F, n, b, args.budget)
-        print(f"brute IK_{n}({q}, {b.serialize()}) = {_dict_json(value)}")
+        print(f"brute IK_{n}({q}, {b.serialize()}) = {json.dumps(value.to_dict())}")
     if args.path in ("formula", "both"):
         z_p = scaled_ik_at_p(F, n, b)
         wide = change_conductor(z_p, F.p * (q - 1))
         print(
             f"formula {q * (q - 1)}*IK_{n}({q}, {b.serialize()}) = "
-            f"{_dict_json(wide.reduced())}"
+            f"{json.dumps(wide.reduced().to_dict())}"
         )
         if value is None:
             value, scale = z_p, q * (q - 1)

@@ -216,9 +216,14 @@ class CycInt:
     def canonical(self):
         """Coefficients reduced mod Phi_m, supported on 0..phi(m)-1."""
         if self._canon is None:
-            rem = IntPoly(self.coeffs) % cyclotomic_poly(self.m)
-            c = list(rem.coeffs) + [0] * (self.m - len(rem.coeffs))
-            self._canon = tuple(c)
+            m, c = self.m, self.coeffs
+            phi = cyclotomic_poly(m)
+            if len(phi.coeffs) == m:  # m prime: Phi_m = 1 + x + ... + x^(m-1)
+                top = c[-1]
+                self._canon = tuple([x - top for x in c])
+            else:
+                rem = IntPoly(c) % phi
+                self._canon = tuple(list(rem.coeffs) + [0] * (m - len(rem.coeffs)))
         return self._canon
 
     def reduced(self):

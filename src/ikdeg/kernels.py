@@ -5,14 +5,13 @@ coefficient, the two integers are multiplied once (CPython's big-int
 multiplication is subquadratic), and the product's coefficients are read
 back as balanced digits. Packing and unpacking go through `int.to_bytes`
 and `int.from_bytes` on byte-aligned slots, so both are linear in the
-number of slots. A slot of at most 8 bytes, in a sequence longer than its
-width, goes through one signed little-endian 8-byte word per coefficient
-(one `struct.pack` of the sequence), w strided byte copies between the
-words and the slots and one `bytes.translate` of the slots' top bytes,
-with no Python-level step per coefficient. Wider slots, and sequences
-no longer than w (where the w strided copies cost more than the slots),
-go one `to_bytes` or `from_bytes` per coefficient. Coefficients may be
-arbitrarily large. See Harvey, "Faster polynomial multiplication via
+number of slots. A slot of at most 8 bytes goes through one signed
+little-endian 8-byte word per coefficient (one `struct.pack` of the
+sequence), w strided byte copies between the words and the slots and one
+`bytes.translate` of the slots' top bytes, with no Python-level step per
+coefficient. Wider slots do not fit a word and go one `to_bytes` or
+`from_bytes` per coefficient. Coefficients may be arbitrarily large.
+See Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", arXiv:0712.4046.
 """
 
@@ -22,11 +21,6 @@ _FLIP = bytes(range(128, 256)) + bytes(range(128))  # each byte with bit 7 flipp
 _SIGN = bytes(128) + b"\xff" * 128  # 0xff for a byte with bit 7 set, else 0
 
 
-def _by_words(n, w):
-    """Whether n slots of w bytes go through 8-byte words."""
-    return w <= 8 and n > w
-
-
 def _pack(seq, w, half):
     """The little-endian bytes of the slots x + half, w bytes each.
 
@@ -34,9 +28,9 @@ def _pack(seq, w, half):
     of x with bit 7 of its top byte flipped, so the word path copies the
     low w bytes of each signed word and flips the top one.
     """
-    n = len(seq)
-    if not _by_words(n, w):
+    if w > 8:
         return b"".join([(x + half).to_bytes(w, "little") for x in seq])
+    n = len(seq)
     raw = struct.pack(f"<{n}q", *seq)
     out = bytearray(n * w)
     for k in range(w - 1):
@@ -51,7 +45,7 @@ def _unpack(buf, n, w, half):
     The word path undoes _pack: it flips bit 7 of each top byte and
     sign-extends every slot to a signed 8-byte word.
     """
-    if not _by_words(n, w):
+    if w > 8:
         return [int.from_bytes(buf[i : i + w], "little") - half for i in range(0, n * w, w)]
     wide = bytearray(8 * n)
     for k in range(w - 1):

@@ -105,7 +105,7 @@ def test_sum_both_paths(capsys):
     assert code == 0
     assert "paths agree: True" in out
     assert "degree(IK) = 1" in out
-    # the value lines are written without json, byte for byte as json.dumps
+    # the value line is the json of the brute value
     want = charsum.inverted_kloosterman_brute(get_field(3), 1, 1).to_dict()
     assert out.splitlines()[0] == f"brute IK_1(3, 1) = {json.dumps(want)}"
 

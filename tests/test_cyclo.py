@@ -79,6 +79,16 @@ def test_canonicalization_idempotent():
     assert z.reduced().canonical() == z.canonical()
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 7, 9, 12, 31, 60])
+def test_canonical_is_the_remainder_mod_phi(m):
+    # prime conductors subtract the top coefficient; the rest divide by Phi_m
+    rng = random.Random(m)
+    for _ in range(20):
+        c = [rng.randint(-(10**30), 10**30) for _ in range(m)]
+        rem = (IntPoly(c) % cyclotomic_poly(m)).coeffs
+        assert CycInt(m, c).canonical() == rem + (0,) * (m - len(rem))
+
+
 def test_galois_examples():
     z = CycInt(7, [1, 2, 3, 4, 5, 6, 0])
     assert galois_apply(z, 1) == z

@@ -74,18 +74,18 @@ def test_pure_matches_compiled(size):
         assert kernels.cyclic_convolve(a, b) == folded
 
 
-def test_cases_run_every_slot_width_on_both_paths(monkeypatch):
-    # every width w <= 8 is packed and unpacked both through 8-byte words
-    # and slot by slot; w = 9 only slot by slot
+def test_cases_run_every_slot_width(monkeypatch):
+    # the convolution cases pack and unpack every slot width from 1 to 9
+    # bytes: through 8-byte words up to 8, slot by slot at 9
     seen = set()
     pack, unpack = kernels._pack, kernels._unpack
 
     def spy_pack(seq, w, half):
-        seen.add(("pack", w, kernels._by_words(len(seq), w)))
+        seen.add(("pack", w))
         return pack(seq, w, half)
 
     def spy_unpack(buf, n, w, half):
-        seen.add(("unpack", w, kernels._by_words(n, w)))
+        seen.add(("unpack", w))
         return unpack(buf, n, w, half)
 
     monkeypatch.setattr(kernels, "_pack", spy_pack)
@@ -94,10 +94,23 @@ def test_cases_run_every_slot_width_on_both_paths(monkeypatch):
         for a, b in _cases(size):
             kernels.linear_convolve(a, b)
             kernels.cyclic_convolve(a, b)
-    for step in ("pack", "unpack"):
-        for w in range(1, 9):
-            assert (step, w, True) in seen and (step, w, False) in seen, (step, w)
-        assert (step, 9, False) in seen
+    assert {(step, w) for step in ("pack", "unpack") for w in range(1, 10)} <= seen
+
+
+@pytest.mark.parametrize("w", range(1, 10))
+def test_slots_match_per_slot_bytes(w):
+    """_pack writes each x + half as w little-endian bytes and _unpack reads
+    them back, for every width and for sequences shorter and longer than w."""
+    half = 1 << (8 * w - 1)
+    rng = random.Random(w)
+    for n in (1, 2, w - 1, w, w + 1, 50):
+        if n < 1:
+            continue
+        seq = [rng.randint(-half + 1, half - 1) for _ in range(n)]
+        seq[0], seq[-1] = -half + 1, half - 1
+        want = b"".join((x + half).to_bytes(w, "little") for x in seq)
+        assert bytes(kernels._pack(seq, w, half)) == want
+        assert kernels._unpack(want, n, w, half) == seq
 
 
 def test_kronecker_signs():
