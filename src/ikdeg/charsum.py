@@ -15,8 +15,18 @@ everything stays inside a ring with decidable equality.
 
 from __future__ import annotations
 
-from .cyclo import CycInt, embed_all, map_exponents
-from .errors import BudgetExceeded, CharAtZero, ZeroParameter
+from math import gcd
+
+from .cyclo import (
+    _ROWS_KEPT_MAX_M,
+    CycInt,
+    _evaluate,
+    _kept_root_rows,
+    _root_row,
+    embed_all,
+    map_exponents,
+)
+from .errors import BudgetExceeded, CharAtZero, OrbitMismatch, ZeroParameter
 from .ff import Field, FieldElt
 
 DEFAULT_BUDGET = 2_000_000
@@ -254,6 +264,12 @@ def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:
     return cached
 
 
+def scaled_ik_values(F: Field, n: int) -> list:
+    """scaled_ik_at_p(F, n, g^j) for j = 0 .. q-2: the values of one (F, n)
+    in dlog order, as orbit_bounds reads them."""
+    return [scaled_ik_at_p(F, n, F.pow_of_generator(j)) for j in range(F.q - 1)]
+
+
 def s1_identity_check(F: Field, n: int) -> bool:
     """Recompute the u = 0 slice of the orthogonality split in scaled form
     and compare it with -(q-1)^(n+1)."""
@@ -273,6 +289,25 @@ def s1_identity_check(F: Field, n: int) -> bool:
     return lam_sum * chi_sum == CycInt.from_int(big_m, -(q1 ** (n + 1)))
 
 
+def _bound_terms(F: Field, n: int):
+    """(scale, rhs1, rhs2, shift1, shift2) of both estimates; rhs2 and
+    shift2 are None when p divides n+1."""
+    q = F.q
+    second = (n + 1) % F.p != 0
+    rhs1 = float(q) ** ((n + 1) / 2)
+    rhs2 = 2 * n * float(q) ** (n / 2) if second else None
+    shift1 = (q - 1) ** n / q
+    shift2 = ((q - 1) ** n - (-1) ** n * (q + 1)) / q if second else None
+    return q * (q - 1), rhs1, rhs2, shift1, shift2
+
+
+def _bounds_of(iks, rhs1, rhs2, shift1, shift2):
+    """(lhs1, rhs1, lhs2, rhs2), each lhs the maximum over the values iks."""
+    lhs1 = max(abs(ik + shift1) for ik in iks)
+    lhs2 = max(abs(ik + shift2) for ik in iks) if shift2 is not None else None
+    return lhs1, rhs1, lhs2, rhs2
+
+
 def bounds_check(F: Field, n: int, b):
     """Numeric check of both estimates at every complex embedding.
 
@@ -280,19 +315,118 @@ def bounds_check(F: Field, n: int, b):
     embeddings; lhs2 and rhs2 are None when p divides n+1.
     """
     b = _check_ik_args(F, n, b)
-    return value_bounds(F, n, scaled_ik_at_p(F, n, b))
+    scale, *terms = _bound_terms(F, n)
+    iks = [c / scale for c in embed_all(scaled_ik_at_p(F, n, b))[0].values()]
+    return _bounds_of(iks, *terms)
 
 
-def value_bounds(F: Field, n: int, z: CycInt):
-    """bounds_check for the value z = scaled_ik_at_p(F, n, b), already built."""
-    q = F.q
-    second = (n + 1) % F.p != 0
-    rhs1 = float(q) ** ((n + 1) / 2)
-    rhs2 = 2 * n * float(q) ** (n / 2) if second else None
-    shift1 = (q - 1) ** n / q
-    shift2 = ((q - 1) ** n - (-1) ** n * (q + 1)) / q if second else None
-    scale = q * (q - 1)
-    iks = [c / scale for c in embed_all(z)[0].values()]
-    lhs1 = max(abs(ik + shift1) for ik in iks)
-    lhs2 = max(abs(ik + shift2) for ik in iks) if second else None
-    return lhs1, rhs1, lhs2, rhs2
+def galois_orbits(F: Field, n: int):
+    """(a, step, count) for the values z_j = scaled_ik_at_p(F, n, g^j).
+
+    a = g^((q-1)/(p-1)) generates F_p^*, and
+    sigma_a(IK_n(q, b)) = IK_n(q, b a^-(n+1)) reads
+    sigma_a(z_j) = z_(j - step) with step = (n+1)(q-1)/(p-1). The index
+    orbits j + step Z mod q-1 are the classes of j mod count,
+    count = gcd(step, q-1); every exact invariant is constant on each.
+    """
+    q1 = F.q - 1
+    d = q1 // (F.p - 1)
+    step = (n + 1) * d
+    return F.pow_of_generator(d).coeffs[0], step, gcd(step, q1)
+
+
+def _check_orbits(F: Field, n: int, a: int, step: int, values: list) -> None:
+    """Raise OrbitMismatch unless sigma_a(z_j) = z_(j - step) for every j
+    (galois_orbits), compared exactly on canonical coefficients: sigma_a
+    moves coefficient e to a*e mod p, and representatives differ by a
+    constant vector, so subtracting the top coefficient makes them equal."""
+    p, q1 = F.p, F.q - 1
+    inv = pow(a, -1, p)
+    perm = [inv * f % p for f in range(p)]  # sigma_a(z) has c[a^-1 f] at f
+    canon = []
+    for z in values:
+        top = z.coeffs[-1]
+        canon.append(tuple([c - top for c in z.coeffs]) if top else z.coeffs)
+    for j, c in enumerate(canon):
+        moved = tuple(map(c.__getitem__, perm))
+        top = moved[-1]
+        if top:
+            moved = tuple([x - top for x in moved])
+        if moved != canon[(j - step) % q1]:
+            raise OrbitMismatch(
+                f"sigma_{a}(IK_{n}({F.q}, {F.pow_of_generator(j).serialize()})) is not "
+                f"IK_{n}({F.q}, {F.pow_of_generator(j - step).serialize()}) (bug)"
+            )
+
+
+# Readings within this share of S/scale + |shift| of an orbit's maximum
+# estimate are read in full (orbit_bounds): eight times the error margin
+# that the proof there needs.
+_WINDOW = 2.0**-26
+
+
+def orbit_bounds(F: Field, n: int, values: list) -> list:
+    """bounds_check(F, n, g^j) for every j, bit for bit, read per orbit.
+
+    values[j] is z_j = scaled_ik_at_p(F, n, g^j), j = 0 .. q-2. Raises
+    OrbitMismatch unless sigma_a(z_j) = z_(j - step) exactly for every j
+    (_check_orbits, galois_orbits). Then sigma_(a^t)(z_j) = z_(j - step t),
+    so the embedding of z_j at zeta^(a^t) equals the first embedding (at
+    zeta) of z_(j - step t): the q-1 first embeddings estimate every
+    reading of bounds_check, and only the rows whose estimate lies within
+    a window W of the maximum estimate over the orbit are evaluated, with
+    the floats of bounds_check. Each row serves both shifts.
+
+    Why the row of bounds_check's maximum is never left out. A reading of
+    z at row a is r = |fl(fl(sum_e c_e w_(ae)) / s) + h|, with s the
+    scale, h the float shift and w_k the table's e^(2 pi i k/p); its exact
+    value is R = |z(zeta^a)/s + h|. Let u = 2^-53, S the largest sum |c_e|
+    among the values and B = S/s + |h|. Each table root is within 2^-46 of
+    its true value (its argument takes at most three roundings, under
+    2^-48, and cos and sin are within an ulp); each product c_e w adds at
+    most 2u per part (int to float, one rounding); the recursive sum of p
+    terms adds at most sqrt(2) gamma_(p-1) sum |c_e w| (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, section 3.1, per part,
+    gamma_k = ku/(1 - ku) < 1.001 * 2^-33 for p < 2^20); division, the
+    addition of h and abs add at most 6uB. So |r - R| < 2^-31 B = delta
+    for every reading, estimates included. If a* gives the largest
+    reading r* of z_j and e_a is the estimate of row a, then
+    e_a <= R_a + delta <= r_a + 2 delta <= r* + 2 delta <= R_(a*) + 3 delta
+    <= e_(a*) + 4 delta: e_(a*) lies within 4 delta = 2^-29 B, twice the
+    error of both readings, of the maximum estimate. W = 2^-26 B leaves
+    room for the rounding of W and of the comparison.
+    """
+    p, q1 = F.p, F.q - 1
+    assert p < 2**20, "the window's error bound needs p < 2^20"
+    a, step, orbits = galois_orbits(F, n)
+    _check_orbits(F, n, a, step, values)
+    scale, rhs1, rhs2, shift1, shift2 = _bound_terms(F, n)
+    rows = dict(_kept_root_rows(p)) if p <= _ROWS_KEPT_MAX_M else {1: _root_row(p, 1)}
+    firsts = [_evaluate(z.coeffs, rows[1]) / scale for z in values]
+    spread = max(sum(map(abs, z.coeffs)) for z in values) / scale
+    near = set()  # indices whose first embedding can reach their orbit's maximum
+    for shift in (shift1,) if shift2 is None else (shift1, shift2):
+        est = [abs(ik + shift) for ik in firsts]
+        window = _WINDOW * (spread + abs(shift))
+        floors = [max(est[r::orbits]) - window for r in range(orbits)]
+        near.update(i for i, e in enumerate(est) if e >= floors[i % orbits])
+    # row a^t of z_j reads z_(j - step t) at zeta: it is kept when that index is near
+    wanted = [[] for _ in range(q1)]
+    for i in near:
+        at = 1
+        for t in range(p - 1):
+            wanted[(i + step * t) % q1].append(at)
+            at = at * a % p
+    out = []
+    for z, first, row_ids in zip(values, firsts, wanted):
+        iks = []
+        for at in row_ids:
+            if at == 1:  # the first embedding, read already
+                iks.append(first)
+                continue
+            row = rows.get(at)
+            if row is None:
+                row = rows[at] = _root_row(p, at)
+            iks.append(_evaluate(z.coeffs, row) / scale)
+        out.append(_bounds_of(iks, rhs1, rhs2, shift1, shift2))
+    return out

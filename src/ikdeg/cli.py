@@ -10,7 +10,14 @@ import sys
 from math import gcd
 
 from . import suites
-from .charsum import DEFAULT_BUDGET, inverted_kloosterman_brute, scaled_ik_at_p, value_bounds
+from .charsum import (
+    DEFAULT_BUDGET,
+    galois_orbits,
+    inverted_kloosterman_brute,
+    orbit_bounds,
+    scaled_ik_at_p,
+    scaled_ik_values,
+)
 from .cyclo import change_conductor, embed_all
 from .errors import BudgetExceeded, IKDegError, InvalidParameters
 from .ff import Field, get_field, is_prime
@@ -47,27 +54,25 @@ def _fmt_cell(v):
     return str(v)
 
 
-def census_record(F: Field, n: int, j: int, values: list) -> dict:
+def census_record(F: Field, n: int, j: int, degree: int, observed, bounds: tuple) -> dict:
     """The census row of b = g^j, keyed by CSV_FIELDS.
 
-    values[i] is scaled_ik_at_p(F, n, g^i) for i = 0 .. q-2. Every column
-    reads values[j]: its degree, its bounds and, over F_p, the case
-    analysis with a = g, whose conjugate b g^-(n+1) is values[j - n - 1].
+    degree and, over F_p, observed (the valuation of z_j - z_(j-n-1), the
+    case analysis's difference with a = g) are exact invariants of the
+    Galois orbit of z_j = scaled_ik_at_p(F, n, b); bounds is its own
+    bounds_check reading (orbit_bounds).
     """
     p = F.p
-    z = values[j]
     b = F.pow_of_generator(j)
-    degree = degree_of(z)
     bound = (p - 1) // gcd(n + 1, p - 1)
     case_label, pred, obs = "", None, None
     if F.k == 1:
-        observed = exact_valuation(z - values[(j - n - 1) % (p - 1)])
         rep = case_report(p, n, b.coeffs[0], F.generator.coeffs[0], observed)
         case_label, pred, obs = rep.case_label, rep.predicted_valuation, rep.observed_valuation
     row = (
         p, F.k, F.q, n, b.serialize(), degree, bound,
         (degree == bound) if F.k == 1 else "n/a",  # degree_matches
-        *value_bounds(F, n, z),
+        *bounds,
         case_label, pred, obs,
     )
     return dict(zip(CSV_FIELDS, row))
@@ -160,10 +165,24 @@ def cmd_census(args) -> int:
         raise InvalidParameters("empty parameter range")
     records = []
     for F in [get_field(p, k) for p in primes]:
+        q1 = F.q - 1
         for n in range(n_lo, n_hi + 1):
-            # each value once, in dlog order; every record reads from them
-            values = [scaled_ik_at_p(F, n, F.pow_of_generator(j)) for j in range(F.q - 1)]
-            records += [census_record(F, n, j, values) for j in range(F.q - 1)]
+            # each value once, in dlog order; orbit_bounds checks that they
+            # form Galois orbits, the classes of j mod orbits, so each exact
+            # invariant is read once per orbit, on its representative
+            values = scaled_ik_values(F, n)
+            bounds = orbit_bounds(F, n, values)
+            orbits = galois_orbits(F, n)[2]
+            degrees = [degree_of(values[r]) for r in range(orbits)]
+            observed = [None] * orbits
+            if F.k == 1:
+                observed = [
+                    exact_valuation(values[r] - values[(r - n - 1) % q1]) for r in range(orbits)
+                ]
+            records += [
+                census_record(F, n, j, degrees[j % orbits], observed[j % orbits], bounds[j])
+                for j in range(q1)
+            ]
     _emit(records, args.format, args.out)
     return 0
 

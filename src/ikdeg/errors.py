@@ -41,6 +41,10 @@ class WrongConductor(IKDegError):
     """Cyclotomic integer does not live at the conductor the operation needs."""
 
 
+class OrbitMismatch(IKDegError):
+    """A value's Galois conjugate is not the value equivariance predicts (bug)."""
+
+
 class NonIntegerCoefficients(IKDegError):
     """A minimal-polynomial coefficient came out as a non-integer (bug)."""
 

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from .charsum import DEFAULT_BUDGET, bounds_check, inverted_kloosterman_brute, scaled_ik_at_p
+from .charsum import (
+    DEFAULT_BUDGET, inverted_kloosterman_brute, orbit_bounds, scaled_ik_at_p, scaled_ik_values,
+)
 from .errors import BudgetExceeded, InvalidParameters
 from .ff import get_field, is_prime
 from .galois import ik_degree
@@ -110,8 +112,9 @@ def bounds_suite():
     checked = 0
     for p, k, n in grids:
         F = get_field(p, k)
+        bounds = orbit_bounds(F, n, scaled_ik_values(F, n))  # bounds_check(F, n, g^j) at j
         for b in F.units():
-            lhs1, rhs1, lhs2, rhs2 = bounds_check(F, n, b)
+            lhs1, rhs1, lhs2, rhs2 = bounds[F.dlog(b)]
             checked += 1
             if lhs1 > rhs1 + BOUND_SLACK or (lhs2 is not None and lhs2 > rhs2 + BOUND_SLACK):
                 ok = False

@@ -12,6 +12,7 @@ from ikdeg import (
     additive_char,
     bounds_check,
     change_conductor,
+    charsum,
     embed_complex,
     gauss_sum,
     get_field,
@@ -23,7 +24,9 @@ from ikdeg import (
     s1_identity_check,
     scaled_ik_at_p,
 )
-from ikdeg.charsum import _brute_distribution, _character_terms, _relabel
+from ikdeg.charsum import (
+    _brute_distribution, _character_terms, _relabel, orbit_bounds, scaled_ik_values,
+)
 from ikdeg.errors import BudgetExceeded, CharAtZero, ZeroParameter
 from ikdeg.ff import is_prime
 from ikdeg.suites import BOUND_SLACK, DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
@@ -204,6 +207,45 @@ def test_bounds_report():
     lhs1, rhs1, lhs2, rhs2 = bounds_check(get_field(3), 2, 1)
     assert lhs2 is None and rhs2 is None
     assert lhs1 <= rhs1 + BOUND_SLACK
+
+
+# every prime p <= 61 with n <= 8 (p = 2 and p | n+1 among them), and
+# extension fields with n <= 4
+ORBIT_BOUNDS_CASES = [(p, 1, n) for p in range(2, 62) if is_prime(p) for n in range(1, 9)]
+ORBIT_BOUNDS_CASES += [
+    (p, k, n) for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3)) for n in range(1, 5)
+]
+
+
+def _orbit_bounds_mismatches(cases):
+    """(q, n, j) wherever orbit_bounds and bounds_check(F, n, g^j) differ as floats."""
+    bad = []
+    for p, k, n in cases:
+        F = get_field(p, k)
+        for j, got in enumerate(orbit_bounds(F, n, scaled_ik_values(F, n))):
+            if got != bounds_check(F, n, F.pow_of_generator(j)):
+                bad.append((F.q, n, j))
+    return bad
+
+
+def test_orbit_bounds_are_bounds_check_bit_for_bit():
+    assert (2, 1, 1) in ORBIT_BOUNDS_CASES and (3, 1, 2) in ORBIT_BOUNDS_CASES  # p | n+1
+    assert _orbit_bounds_mismatches(ORBIT_BOUNDS_CASES) == []
+    # above p = 256 the root rows are built on use, not kept
+    F = get_field(257)
+    got = orbit_bounds(F, 1, scaled_ik_values(F, 1))
+    for b in (1, 2, 3, 5, 100, 128, 200, 256):
+        assert got[F.dlog(F.elt(b))] == bounds_check(F, 1, b), b
+
+
+def test_orbit_bounds_window_has_teeth(monkeypatch):
+    # with no window only the rows that tie an orbit's maximum estimate
+    # are read, and the float maximum of some records of the census
+    # sweep p = 3 .. 31, n = 1 .. 4 is lost
+    monkeypatch.setattr(charsum, "_WINDOW", 0.0)
+    assert _orbit_bounds_mismatches(
+        [(p, k, n) for p, k, n in ORBIT_BOUNDS_CASES if 3 <= p <= 31 and k == 1 and n <= 4]
+    )
 
 
 def _per_character_terms(F, n):

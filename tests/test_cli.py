@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ikdeg import (
-    bounds_check, charsum, cli, ff, get_field, ik_formula_scaled, kernels, run_case_analysis,
+    CycInt, bounds_check, charsum, cli, ff, get_field, ik_degree, ik_formula_scaled, kernels,
+    run_case_analysis,
 )
 from ikdeg.cli import CSV_FIELDS, _fmt_cell, build_parser, main
 from ikdeg.errors import InvalidParameters
@@ -275,7 +277,7 @@ def test_census_csv(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", ["--p 2 --p-max 13 --n 1 --n-max 6", "--p 3 --k 2 --n 1 --n-max 6"]
+    "argv", ["--p 2 --p-max 13 --n 1 --n-max 6", "--p 3 --k 2 --n 1 --n-max 6", "--p 17 --n 3"]
 )
 def test_census_columns_match_case_analysis_and_bounds_check(capsys, argv):
     # the census reads each value once and derives every column from it;
@@ -288,6 +290,7 @@ def test_census_columns_match_case_analysis_and_bounds_check(capsys, argv):
     for row in rows:
         F, n = get_field(int(row["p"]), int(row["k_ext"])), int(row["n"])
         b = F.elt([int(c) for c in row["b"].split(":")])
+        assert row["degree"] == str(ik_degree(F, n, b))
         want = bounds_check(F, n, b)
         assert tuple(row[c] for c in bound_cols) == tuple(map(_fmt_cell, want))
         if F.k == 1:
@@ -296,9 +299,36 @@ def test_census_columns_match_case_analysis_and_bounds_check(capsys, argv):
         else:
             want = ("", None, None)
         assert tuple(row[c] for c in case_cols) == tuple(map(_fmt_cell, want))
-    k = int(rows[0]["k_ext"])
-    units = sum(p**k - 1 for p in range(2, 14) if ff.is_prime(p)) if k == 1 else 8
-    assert len(rows) == 6 * units
+    opts = dict(zip(argv.split()[::2], map(int, argv.split()[1::2])))
+    p_lo, k, n_lo = opts["--p"], opts.get("--k", 1), opts["--n"]
+    primes = [p for p in range(p_lo, opts.get("--p-max", p_lo) + 1) if ff.is_prime(p)]
+    assert len(rows) == sum(p**k - 1 for p in primes) * (opts.get("--n-max", n_lo) - n_lo + 1)
+
+
+def test_census_bound_floats_are_read_per_record_not_per_orbit(capsys):
+    # b = 1 and b = 13 lie in one Galois orbit at p = 17, n = 3, but their
+    # maxima are read at different embeddings and round apart
+    code, out, _ = run_cli(capsys, *"census --p 17 --n 3".split())
+    assert code == 0
+    lhs1 = {row["b"]: row["bound1_lhs"] for row in csv.DictReader(io.StringIO(out))}
+    assert (lhs1["1"], lhs1["13"]) == ("50.0311540319", "50.0311540318")
+
+
+def test_census_value_off_its_orbit_exits_1(monkeypatch, capsys):
+    # the census reads its exact invariants once per Galois orbit, so it
+    # first checks that the values form orbits
+    scaled_ik_at_p = charsum.scaled_ik_at_p
+
+    def perturbed(F, n, b):
+        z = scaled_ik_at_p(F, n, b)
+        if (F.p, n, F.elt(b).coeffs) == (7, 2, (3,)):
+            return CycInt(z.m, [z.coeffs[0], z.coeffs[1] + 1, *z.coeffs[2:]])
+        return z
+
+    monkeypatch.setattr(charsum, "scaled_ik_at_p", perturbed)
+    code, out, err = run_cli(capsys, *"census --p 5 --p-max 7 --n 1 --n-max 2".split())
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_census_case_iii_at_large_n(capsys):

@@ -75,6 +75,7 @@ def test_tracer_installs_and_reports_in_a_fresh_process():
         "import tracer\n"
         "t = tracer.Tracer().install()\n"
         "assert ikdeg.cli.main(['sum', '--p', '5', '--n', '1', '--b', '2']) == 0\n"
+        "assert ikdeg.cli.main('census --p 3 --p-max 7 --n 1 --n-max 2'.split()) == 0\n"
         "assert t.counts() and t.cache_info()\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
