@@ -39,7 +39,6 @@ from .padic import (
     CaseReport,
     PadicElt,
     case_analysis,
-    default_precision,
     embed_cyclotomic,
     exact_valuation,
     run_case_analysis,
@@ -88,7 +87,6 @@ __all__ = [
     "CaseReport",
     "PadicElt",
     "case_analysis",
-    "default_precision",
     "embed_cyclotomic",
     "exact_valuation",
     "run_case_analysis",

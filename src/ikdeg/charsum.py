@@ -21,6 +21,7 @@ from .cyclo import (
     _ROWS_KEPT_MAX_M,
     CycInt,
     _evaluate,
+    _exponent_perms,
     _kept_root_rows,
     _root_row,
     embed_all,
@@ -49,23 +50,16 @@ def mult_char(F: Field, m: int, x) -> CycInt:
 
 def gauss_sum(F: Field, m: int) -> CycInt:
     """G(chi) = sum over x != 0 of chi(x) psi(x) for chi = omega^(-m), m
-    read mod q-1, at conductor p(q-1)."""
-    q1 = F.q - 1
-    m %= q1
-    key = ("gauss", m)
-    cached = F._cache.get(key)
-    if cached is not None:
-        return cached
-    p = F.p
+    read mod q-1, at conductor p(q-1). Not cached: the formula reads only
+    G(omega^(-1)), which _gauss_power keeps."""
+    p, q1 = F.p, F.q - 1
     big_m = p * q1
     out = [0] * big_m
     for j in range(q1):
         # zeta_{q-1} = zeta_M^p, zeta_p = zeta_M^(q-1)
         e = (p * ((-m * j) % q1) + q1 * F._trace_of_power(j)) % big_m
         out[e] += 1
-    g = CycInt(big_m, out)
-    F._cache[key] = g
-    return g
+    return CycInt(big_m, out)
 
 
 def _check_ik_args(F: Field, n: int, b) -> FieldElt:
@@ -135,15 +129,6 @@ def _brute_counts(F: Field, n: int, b):
     return zero_row[beta], [one_row[(beta - (n + 1) * c) % q1] for c in range(q1)]
 
 
-def _brute_distribution(F: Field, n: int, b) -> dict:
-    """The nonzero counts of _brute_counts, keyed by s.coeffs."""
-    zero, by_log = _brute_counts(F, n, b)
-    dist = {F.zero.coeffs: zero}
-    for c, count in enumerate(by_log):
-        dist[F.pow_of_generator(c).coeffs] = count
-    return {s: count for s, count in dist.items() if count}
-
-
 def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> CycInt:
     """K_n(q, b) at conductor p, from the counts of unit tuples by sum
     (_brute_counts)."""
@@ -180,14 +165,18 @@ def _relabel(z: CycInt, p: int, s: int) -> CycInt:
 
 
 def _gauss_power(F: Field, e: int) -> CycInt:
-    """G^e for G = G(omega^(-1)) and e >= 2, cached per field: one product
-    from the power below it when that is cached, else a square-and-multiply."""
+    """G^e for G = G(omega^(-1)) and e >= 1, cached per field: G itself at
+    e = 1, else one product from the power below it when that is cached,
+    else a square-and-multiply."""
     key = ("gauss_power", e)
     cached = F._cache.get(key)
     if cached is None:
-        g = gauss_sum(F, 1)
-        below = g if e == 2 else F._cache.get(("gauss_power", e - 1))
-        cached = below * g if below is not None else g**e
+        if e == 1:
+            cached = gauss_sum(F, 1)
+        else:
+            g = _gauss_power(F, 1)
+            below = F._cache.get(("gauss_power", e - 1))
+            cached = below * g if below is not None else g**e
         F._cache[key] = cached
     return cached
 
@@ -335,24 +324,15 @@ def galois_orbits(F: Field, n: int):
     return F.pow_of_generator(d).coeffs[0], step, gcd(step, q1)
 
 
-def _check_orbits(F: Field, n: int, a: int, step: int, values: list) -> None:
+def _check_orbits(F: Field, n: int, a: int, step: int, canon: list) -> None:
     """Raise OrbitMismatch unless sigma_a(z_j) = z_(j - step) for every j
-    (galois_orbits), compared exactly on canonical coefficients: sigma_a
-    moves coefficient e to a*e mod p, and representatives differ by a
-    constant vector, so subtracting the top coefficient makes them equal."""
+    (galois_orbits), compared exactly on canonical coefficients: canon[j]
+    is z_j.canonical(), and sigma_a moves coefficient e to a*e mod p, which
+    CycInt.canonical brings back to canonical form."""
     p, q1 = F.p, F.q - 1
-    inv = pow(a, -1, p)
-    perm = [inv * f % p for f in range(p)]  # sigma_a(z) has c[a^-1 f] at f
-    canon = []
-    for z in values:
-        top = z.coeffs[-1]
-        canon.append(tuple([c - top for c in z.coeffs]) if top else z.coeffs)
+    perm = _exponent_perms(p)[pow(a, -1, p)]  # sigma_a(z) has c[a^-1 f] at f
     for j, c in enumerate(canon):
-        moved = tuple(map(c.__getitem__, perm))
-        top = moved[-1]
-        if top:
-            moved = tuple([x - top for x in moved])
-        if moved != canon[(j - step) % q1]:
+        if CycInt(p, map(c.__getitem__, perm)).canonical() != canon[(j - step) % q1]:
             raise OrbitMismatch(
                 f"sigma_{a}(IK_{n}({F.q}, {F.pow_of_generator(j).serialize()})) is not "
                 f"IK_{n}({F.q}, {F.pow_of_generator(j - step).serialize()}) (bug)"
@@ -368,7 +348,9 @@ _WINDOW = 2.0**-26
 def orbit_bounds(F: Field, n: int, values: list) -> list:
     """bounds_check(F, n, g^j) for every j, bit for bit, read per orbit.
 
-    values[j] is z_j = scaled_ik_at_p(F, n, g^j), j = 0 .. q-2. Raises
+    values[j] is z_j = scaled_ik_at_p(F, n, g^j), j = 0 .. q-2, each read
+    through its canonical coefficients, so any representative of z_j gives
+    the same floats. Raises
     OrbitMismatch unless sigma_a(z_j) = z_(j - step) exactly for every j
     (_check_orbits, galois_orbits). Then sigma_(a^t)(z_j) = z_(j - step t),
     so the embedding of z_j at zeta^(a^t) equals the first embedding (at
@@ -399,11 +381,12 @@ def orbit_bounds(F: Field, n: int, values: list) -> list:
     p, q1 = F.p, F.q - 1
     assert p < 2**20, "the window's error bound needs p < 2^20"
     a, step, orbits = galois_orbits(F, n)
-    _check_orbits(F, n, a, step, values)
+    canon = [z.canonical() for z in values]
+    _check_orbits(F, n, a, step, canon)
     scale, rhs1, rhs2, shift1, shift2 = _bound_terms(F, n)
     rows = dict(_kept_root_rows(p)) if p <= _ROWS_KEPT_MAX_M else {1: _root_row(p, 1)}
-    firsts = [_evaluate(z.coeffs, rows[1]) / scale for z in values]
-    spread = max(sum(map(abs, z.coeffs)) for z in values) / scale
+    firsts = [_evaluate(c, rows[1]) / scale for c in canon]
+    spread = max(sum(map(abs, c)) for c in canon) / scale
     near = set()  # indices whose first embedding can reach their orbit's maximum
     for shift in (shift1,) if shift2 is None else (shift1, shift2):
         est = [abs(ik + shift) for ik in firsts]
@@ -418,7 +401,7 @@ def orbit_bounds(F: Field, n: int, values: list) -> list:
             wanted[(i + step * t) % q1].append(at)
             at = at * a % p
     out = []
-    for z, first, row_ids in zip(values, firsts, wanted):
+    for c, first, row_ids in zip(canon, firsts, wanted):
         iks = []
         for at in row_ids:
             if at == 1:  # the first embedding, read already
@@ -427,6 +410,6 @@ def orbit_bounds(F: Field, n: int, values: list) -> list:
             row = rows.get(at)
             if row is None:
                 row = rows[at] = _root_row(p, at)
-            iks.append(_evaluate(z.coeffs, row) / scale)
+            iks.append(_evaluate(c, row) / scale)
         out.append(_bounds_of(iks, rhs1, rhs2, shift1, shift2))
     return out

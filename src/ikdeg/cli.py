@@ -172,12 +172,12 @@ def cmd_census(args) -> int:
             # invariant is read once per orbit, on its representative
             values = scaled_ik_values(F, n)
             bounds = orbit_bounds(F, n, values)
-            orbits = galois_orbits(F, n)[2]
+            _, step, orbits = galois_orbits(F, n)
             degrees = [degree_of(values[r]) for r in range(orbits)]
             observed = [None] * orbits
-            if F.k == 1:
+            if F.k == 1:  # sigma_g(z_r) = z_(r - step), step = n+1
                 observed = [
-                    exact_valuation(values[r] - values[(r - n - 1) % q1]) for r in range(orbits)
+                    exact_valuation(values[r] - values[(r - step) % q1]) for r in range(orbits)
                 ]
             records += [
                 census_record(F, n, j, degrees[j % orbits], observed[j % orbits], bounds[j])

@@ -340,6 +340,15 @@ def map_exponents(z: CycInt, k: int, big_m: int) -> CycInt:
     return CycInt(big_m, out)
 
 
+@lru_cache(maxsize=None)
+def _exponent_perms(p: int) -> tuple:
+    """Entry a, for a = 0 .. p-1, is the exponent map e -> a*e mod p, e = 0 .. p-1.
+
+    For a unit a, gathering coefficients through it, c[a*e] at e, gives
+    map_exponents(z, a^-1, p) in one C-level pass, cached per p."""
+    return tuple(tuple(a * e % p for e in range(p)) for a in range(p))
+
+
 def galois_apply(z: CycInt, a: int) -> CycInt:
     """Apply zeta_m -> zeta_m^a; requires gcd(a, m) = 1."""
     if gcd(a, z.m) != 1:

@@ -7,10 +7,8 @@ no factorization is needed.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .charsum import _check_ik_args, scaled_ik_at_p
-from .cyclo import CycInt, IntPoly, galois_apply
+from .cyclo import CycInt, IntPoly, _exponent_perms, galois_apply
 from .errors import NonIntegerCoefficients, WrongConductor, ZeroParameter
 from .ff import Field, is_prime
 
@@ -25,12 +23,6 @@ def conjugate_set(z: CycInt) -> tuple[CycInt, ...]:
     """The images sigma_a(z) for a = 1 .. p-1, in that order."""
     p = _require_prime_conductor(z)
     return tuple(galois_apply(z, a) for a in range(1, p))
-
-
-@lru_cache(maxsize=None)
-def _exponent_perms(p: int) -> tuple:
-    """Entry a, for a = 0 .. p-1, is the exponent map e -> a*e mod p, e = 0 .. p-1."""
-    return tuple(tuple(a * e % p for e in range(p)) for a in range(p))
 
 
 def degree_of(z: CycInt) -> int:

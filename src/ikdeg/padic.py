@@ -5,11 +5,11 @@ integer coefficients of a value in Z[zeta_p] (`exact_valuation`):
 Q_p(zeta_p) is totally ramified with uniformiser lambda = zeta_p - 1, so
 no p-adic embedding and no precision is needed. The main-term case
 analysis reads differences of Galois conjugates. The Stickelberger check
-reads the Gauss sum with zeta_{p-1} replaced by the integer g, which is
-congruent mod p to its p-adic embedding (T = g mod p, T the Teichmuller
-lift). The two differ by valuation at least p - 1, so a reading below
-p - 1 is v_pi of the Gauss sum, and a reading of p - 1 or more is only a
-lower bound.
+sums the Gauss sum's p - 1 terms straight into Z[zeta_p] with zeta_{p-1}
+replaced by the integer g, which is congruent mod p to its p-adic
+embedding (T = g mod p, T the Teichmuller lift). The two differ by
+valuation at least p - 1, so a reading below p - 1 is v_pi of the Gauss
+sum, and a reading of p - 1 or more is only a lower bound.
 
 The truncated arithmetic in Z_p[pi], pi^(p-1) = -p, is the independent
 second route, and only the tests' oracles run on it. Digits are stored
@@ -28,7 +28,7 @@ from itertools import accumulate
 from math import gcd
 
 from . import kernels
-from .charsum import gauss_sum, scaled_ik_at_p
+from .charsum import scaled_ik_at_p
 from .cyclo import CycInt, power
 from .errors import (
     DegenerateIndex,
@@ -41,12 +41,7 @@ from .errors import (
     WrongConductor,
     ZeroParameter,
 )
-from .ff import get_field, is_prime
-
-
-def default_precision(p: int) -> int:
-    """Default pi-digit count of the truncated route."""
-    return 4 * (p - 1) + 8
+from .ff import Field, get_field, is_prime
 
 
 class PadicElt:
@@ -259,24 +254,11 @@ def embed_cyclotomic(z: CycInt, p: int, prec: int) -> PadicElt:
     return PadicElt.zero(p, prec) if out is None else out
 
 
-def _teichmuller_residue(z: CycInt, p: int, g: int) -> CycInt:
-    """z in Z[zeta_m], m | p(p-1), with zeta_{p-1} replaced by the integer
-    g, in Z[zeta_p]. With T = g mod p this differs from the p-adic
-    embedding of z (zeta_{p-1} -> T) by a multiple of p."""
-    a_mul, b_mul = _exponent_split(z.m, p)
-    out = [0] * p
-    for e, c in enumerate(z.coeffs):
-        if c:
-            out[e * a_mul % p] += c * pow(g, e * b_mul % (p - 1), p)
-    return CycInt(p, out)
-
-
 def exact_valuation(z: CycInt) -> int | None:
     """v_pi(z) for z in Z[zeta_p], p prime, exactly; None when z = 0.
 
-    Representatives of one element differ by a multiple of
-    1 + zeta + ... + zeta^(p-1), so subtracting c_(p-1) leaves the
-    support 0 .. p-2. A Taylor shift at zeta = 1 + lambda would write
+    The canonical coefficients (CycInt.canonical) of every representative
+    have support 0 .. p-2. A Taylor shift at zeta = 1 + lambda would write
     z = sum_(k <= p-2) d_k lambda^k with integers d_k; lambda = zeta - 1
     is a uniformiser (v_pi(lambda) = 1, v_pi(p) = p-1), so v_pi(z) is the
     least of the term valuations (p-1) v_p(d_k) + k. Dividing out the
@@ -290,8 +272,7 @@ def exact_valuation(z: CycInt) -> int | None:
     p = z.m
     if not is_prime(p):
         raise WrongConductor(f"conductor {p} is not prime")
-    top = z.coeffs[-1]
-    d = [c - top for c in z.coeffs[:-1]]
+    d = z.canonical()[:-1]
     common = gcd(*d)
     if not common:
         return None
@@ -317,19 +298,37 @@ def sigma_digit_sum(m: int, p: int) -> int:
     return s
 
 
+def _gauss_residue(F: Field, m: int, t: int) -> CycInt:
+    """G(omega^-m) over the prime field F with zeta_{p-1} replaced by the
+    integer t, in Z[zeta_p].
+
+    Term j of G is omega^-m(g^j) psi(g^j) = zeta_{p-1}^(-mj) zeta_p^(g^j),
+    g the generator of F_p^*, so the reading is sum_j t^(-mj) zeta_p^(g^j),
+    each coefficient reduced mod p: p - 1 steps, no list of p(p-1) slots.
+    """
+    p = F.p
+    step = pow(t, -m % (p - 1), p)
+    out = [0] * p
+    c = 1
+    for (x,) in F._pow_table:  # the coordinates of g^j, j = 0 .. p-2
+        out[x] += c
+        c = c * step % p
+    return CycInt(p, out)
+
+
 def stickelberger_check(p: int, m: int):
     """Compare v_pi(G(omega^-m)) with the base-p digit sum of m.
 
     Returns (predicted, observed, ok). observed is read exactly off the
-    Gauss sum with zeta_{p-1} replaced by the generator g of F_p, which is
-    congruent to G mod p. A reading below p - 1 is therefore v_pi(G); a
-    reading of p - 1 or more (None for a zero value) is only a lower
-    bound, and the check fails.
+    Gauss sum with zeta_{p-1} replaced by the generator g of F_p
+    (_gauss_residue), which is congruent to G mod p. A reading below
+    p - 1 is therefore v_pi(G); a reading of p - 1 or more (None for a
+    zero value) is only a lower bound, and the check fails.
     """
     if not 0 <= m <= p - 2:
         raise InvalidParameters("need 0 <= m <= p-2")
     F = get_field(p)
-    observed = exact_valuation(_teichmuller_residue(gauss_sum(F, m), p, F.generator.coeffs[0]))
+    observed = exact_valuation(_gauss_residue(F, m, F.generator.coeffs[0]))
     predicted = sigma_digit_sum(m, p)
     ok = observed == predicted and observed < p - 1
     return predicted, observed, ok

@@ -15,7 +15,7 @@ from ikdeg import (
     suites,
     teichmuller,
 )
-from ikdeg.padic import default_precision
+from oracles import default_precision
 
 
 def _report(name, ok, elapsed):

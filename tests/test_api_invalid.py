@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from ikdeg import (
     bounds_check,
     case_analysis,
-    default_precision,
     equivariance_check,
     get_field,
     ik_degree,
@@ -19,6 +18,7 @@ from ikdeg import (
 )
 from ikdeg.errors import IKDegError
 from ikdeg.ff import is_prime
+from oracles import default_precision
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 NOT_PRIME = st.integers(min_value=-30, max_value=40).filter(lambda v: not is_prime(v))

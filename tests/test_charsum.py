@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ from ikdeg import (
     change_conductor,
     charsum,
     embed_complex,
+    exact_valuation,
     gauss_sum,
     get_field,
     ik_formula_scaled,
@@ -25,13 +27,15 @@ from ikdeg import (
     scaled_ik_at_p,
 )
 from ikdeg.charsum import (
-    _brute_distribution, _character_terms, _relabel, orbit_bounds, scaled_ik_values,
+    _character_terms, _relabel, galois_orbits, orbit_bounds, scaled_ik_values,
 )
 from ikdeg.errors import BudgetExceeded, CharAtZero, ZeroParameter
 from ikdeg.ff import is_prime
 from ikdeg.suites import BOUND_SLACK, DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
+from oracles import brute_distribution
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def test_additive_char():
@@ -57,9 +61,11 @@ def test_gauss_sum_trivial_char():
     # G(chi_triv) = sum over units of psi(x) = -1
     for p, k in ((5, 1), (7, 1), (3, 2)):
         F = get_field(p, k)
+        kept = len(F._cache)
         g = gauss_sum(F, 0)
         assert g == CycInt.from_int(g.m, -1)
-        assert gauss_sum(F, F.q - 1) is g  # m is read mod q-1, one cache entry
+        assert gauss_sum(F, F.q - 1).coeffs == g.coeffs  # m is read mod q-1
+        assert len(F._cache) == kept  # no Gauss sum is kept per m
 
 
 def test_gauss_sum_norm():
@@ -75,7 +81,7 @@ def test_gauss_sum_norm():
 
 
 def _enumerated_distributions(F, n):
-    """Oracle: {b.coeffs: _brute_distribution(F, n, b)} by walking all (q-1)^n unit tuples.
+    """Oracle: {b.coeffs: brute_distribution(F, n, b)} by walking all (q-1)^n unit tuples.
 
     The sum of a tuple and the log of its product do not depend on b, so
     each tuple is walked once and b/(x_1 ... x_n) is added to the tallies.
@@ -106,7 +112,7 @@ def test_brute_distribution_matches_enumeration():
         F = get_field(p, k)
         want = _enumerated_distributions(F, n)
         for b in F.units():
-            got = _brute_distribution(F, n, b)
+            got = brute_distribution(F, n, b)
             assert got == want[b.coeffs], (F.q, n, b)
             with_zero += F.zero.coeffs in got  # the s = 0 count kloosterman_brute reads
     assert with_zero == 360
@@ -121,13 +127,13 @@ def test_brute_distribution_n1_is_linear_in_q():
     script = (
         "from collections import Counter\n"
         "from ikdeg import get_field\n"
-        "from ikdeg.charsum import _brute_distribution\n"
+        "from oracles import brute_distribution\n"
         "F = get_field(65537)\n"
         "b = F.elt(3)\n"
         "want = Counter((x + b * x.inverse()).coeffs for x in F.units())\n"
-        "assert _brute_distribution(F, 1, b) == dict(want)\n"
+        "assert brute_distribution(F, 1, b) == dict(want)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS))))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
@@ -246,6 +252,24 @@ def test_orbit_bounds_window_has_teeth(monkeypatch):
     assert _orbit_bounds_mismatches(
         [(p, k, n) for p, k, n in ORBIT_BOUNDS_CASES if 3 <= p <= 31 and k == 1 and n <= 4]
     )
+
+
+def test_orbit_bounds_and_exact_valuation_read_any_representative():
+    # z + c (1 + zeta + ... + zeta^(p-1)) is z for every integer c, and both
+    # readers go through CycInt.canonical: the orbit check passes, the floats
+    # are the same, and so are the census's valuations
+    rng = random.Random(16)
+    cases = [(p, 1, n) for p in (2, 3, 7, 13, 31) for n in (1, 2, 3)] + [(3, 2, 1), (5, 2, 2)]
+    for p, k, n in cases:
+        F = get_field(p, k)
+        values = scaled_ik_values(F, n)
+        shifted = [z + CycInt(p, [rng.randint(1, 99)] * p) for z in values]
+        assert orbit_bounds(F, n, shifted) == orbit_bounds(F, n, values), (F.q, n)
+        step, q1 = galois_orbits(F, n)[1], F.q - 1
+        for j, (z, w) in enumerate(zip(values, shifted)):
+            assert exact_valuation(w) == exact_valuation(z)
+            other = (j - step) % q1
+            assert exact_valuation(w - shifted[other]) == exact_valuation(z - values[other])
 
 
 def _per_character_terms(F, n):

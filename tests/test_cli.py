@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -150,6 +151,7 @@ def _run_stubbed(stubbed, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    return proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -182,6 +184,29 @@ def test_census_and_suites_never_embed_or_build_conjugates(argv):
     _run_stubbed(
         ("embed_cyclotomic", "zeta_p_padic", "teichmuller", "PadicElt", "conjugate_set"), argv
     )
+
+
+def test_stickelberger_reads_no_wide_gauss_sum():
+    # the reading sums G's p - 1 terms in Z[zeta_p]: no p(p-1)-slot Gauss
+    # sum and no CRT split of its exponents
+    out = _run_stubbed(("gauss_sum", "_exponent_split"), "verify stickelberger --p 31")
+    assert out == "stickelberger p=31: ok (m = 0..29)\n"
+
+
+def test_stickelberger_at_p_211_runs_in_64_mb_of_address_space():
+    # the cap applies to the child only; a dense Gauss sum per m does not fit
+    cap = 64 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ikdeg.cli", "verify", "stickelberger", "--p", "211"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout == "stickelberger p=211: ok (m = 0..209)\n"
 
 
 def test_census_reads_rho0_once_and_one_gauss_product_per_power(monkeypatch, capsys):

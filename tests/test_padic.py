@@ -7,7 +7,6 @@ from ikdeg import (
     CycInt,
     PadicElt,
     case_analysis,
-    default_precision,
     embed_cyclotomic,
     exact_valuation,
     gauss_sum,
@@ -21,6 +20,7 @@ from ikdeg import (
     zeta_p_padic,
 )
 from ikdeg import kernels, padic
+from ikdeg.cyclo import map_exponents
 from ikdeg.errors import (
     DegenerateIndex,
     IKDegError,
@@ -43,6 +43,7 @@ from ikdeg.suites import (
     STICKELBERGER_PRIMES,
     stickelberger_suite,
 )
+from oracles import default_precision, teichmuller_residue
 
 
 def _certified_valuation(x):
@@ -239,36 +240,40 @@ def test_stickelberger_reading_matches_truncated_oracle(p):
         embedded = embed_cyclotomic(G, p, prec)
         assert stickelberger_check(p, m)[1] == _certified_valuation(embedded) == m
         # g in place of zeta_{p-1} moves the embedding by a multiple of p
-        residue = padic._teichmuller_residue(G, p, F.generator.coeffs[0])
+        residue = teichmuller_residue(G, p, F.generator.coeffs[0])
         shift = _certified_valuation(embed_cyclotomic(residue, p, prec) - embedded)
         assert shift is None or shift >= p - 1
 
 
-def _wrong_generator(monkeypatch):
-    residue = padic._teichmuller_residue
-    monkeypatch.setattr(padic, "_teichmuller_residue", lambda z, p, g: residue(z, p, g + 1))
+def test_sparse_reading_is_the_residue_of_the_wide_gauss_sum():
+    # the O(p) reading equals the wide route (the p(p-1)-slot Gauss sum,
+    # then zeta_{p-1} -> g through the CRT split) coefficient for coefficient
+    for p in [q for q in range(2, 44) if is_prime(q)] + [101]:
+        F = get_field(p)
+        g = F.generator.coeffs[0]
+        for m in range(p - 1):
+            want = teichmuller_residue(gauss_sum(F, m), p, g)
+            assert padic._gauss_residue(F, m, g).coeffs == want.coeffs, (p, m)
 
 
-def _wrong_multiplier(which):
-    def mutate(monkeypatch):
-        split = padic._exponent_split
-
-        def wrong(m, p):
-            muls = list(split(m, p))
-            muls[which] += 1
-            return tuple(muls)
-
-        monkeypatch.setattr(padic, "_exponent_split", wrong)
-
-    return mutate
+def _mutate_reading(monkeypatch, change):
+    reading = padic._gauss_residue
+    monkeypatch.setattr(padic, "_gauss_residue", lambda F, m, t: change(reading, F, m, t))
 
 
-@pytest.mark.parametrize(
-    "mutate", [_wrong_generator, _wrong_multiplier(0), _wrong_multiplier(1)],
-    ids=["g+1", "zeta_p multiplier", "zeta_(p-1) multiplier"],
-)
-def test_stickelberger_mutants_fail(monkeypatch, mutate):
-    mutate(monkeypatch)
+# each changes one piece of the reading sum_j t^(-mj) zeta_p^(g^j)
+READING_MUTANTS = {
+    "g+1": lambda reading, F, m, t: reading(F, m, t + 1),  # t + 1 for zeta_{p-1}
+    # zeta_p^(0 * g^j): every term at zeta_p^0
+    "zeta_p multiplier": lambda reading, F, m, t: map_exponents(reading(F, m, t), 0, F.p),
+    "zeta_(p-1) multiplier": lambda reading, F, m, t: reading(F, 2 * m, t),  # t^(-2mj)
+    "p*G": lambda reading, F, m, t: F.p * reading(F, m, t),
+}
+
+
+@pytest.mark.parametrize("change", READING_MUTANTS.values(), ids=READING_MUTANTS.keys())
+def test_stickelberger_mutants_fail(monkeypatch, change):
+    _mutate_reading(monkeypatch, change)
     ok, lines = stickelberger_suite()
     assert not ok
     assert all("FAIL" in line for line in lines), lines
@@ -276,7 +281,7 @@ def test_stickelberger_mutants_fail(monkeypatch, mutate):
 
 def test_stickelberger_reading_of_p_times_gauss_sum_fails(monkeypatch):
     # p G is congruent to 0 mod p, so its reading says nothing below p - 1
-    monkeypatch.setattr(padic, "gauss_sum", lambda F, m: F.p * gauss_sum(F, m))
+    _mutate_reading(monkeypatch, READING_MUTANTS["p*G"])
     for p in STICKELBERGER_PRIMES:
         for m in range(p - 1):
             predicted, observed, ok = stickelberger_check(p, m)
