@@ -1,6 +1,6 @@
 """`python -m ikdeg`: the same entry point as the `ikdeg` command."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

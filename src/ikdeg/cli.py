@@ -5,9 +5,10 @@ Exit codes: 0 full pass, 1 any verification failure, 2 invalid parameters.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 from . import suites
 from .charsum import (
@@ -187,9 +188,14 @@ def cmd_census(args) -> int:
     return 0
 
 
-def cmd_sum(args) -> int:
-    import json  # only here, as in _emit
+def _value_json(z) -> str:
+    """json.dumps(z.to_dict()): str of a list of ints is its JSON, so sum
+    need not import json."""
+    d = z.to_dict()
+    return f'{{"m": {d["m"]}, "coeffs": {d["coeffs"]}}}'
 
+
+def cmd_sum(args) -> int:
     F = get_field(args.p, _first(args.k, 1))
     b = _parse_b(F, args.b)
     n = args.n
@@ -197,13 +203,13 @@ def cmd_sum(args) -> int:
     value, scale, code = None, 1, 0  # value is scale * IK, at conductor p
     if args.path in ("brute", "both"):
         value = inverted_kloosterman_brute(F, n, b, args.budget)
-        print(f"brute IK_{n}({q}, {b.serialize()}) = {json.dumps(value.to_dict())}")
+        print(f"brute IK_{n}({q}, {b.serialize()}) = {_value_json(value)}")
     if args.path in ("formula", "both"):
         z_p = scaled_ik_at_p(F, n, b)
         wide = change_conductor(z_p, F.p * (q - 1))
         print(
             f"formula {q * (q - 1)}*IK_{n}({q}, {b.serialize()}) = "
-            f"{json.dumps(wide.reduced().to_dict())}"
+            f"{_value_json(wide.reduced())}"
         )
         if value is None:
             value, scale = z_p, q * (q - 1)
@@ -222,73 +228,124 @@ def cmd_sum(args) -> int:
     return code
 
 
-class _Parser(argparse.ArgumentParser):
-    """Exact option names only; main() prints a parse error as one line."""
+# The grammar, as in README's option table: each command (a verify suite is
+# "verify <suite>") and the options it reads. A pair joined by "|" excludes
+# each other; the order of the words is the order of the choices in errors.
+COMMANDS = {
+    "verify identity": "--p --n --budget",
+    "verify degree": "--p|--p-max --n|--n-max",  # --p and --n are maxima
+    "verify stickelberger": "--p|--p-max",
+    "verify cases": "",
+    "verify bounds": "",
+    "verify all": "",
+    "census": "--p --p-max --k --n --n-max --format --out",
+    "sum": "--p --k --n --b --budget --path",
+}
+# An option's value: one of its choices, any text, or else an integer.
+CHOICES = {"--format": ("csv", "json", "table"), "--path": ("brute", "formula", "both")}
+TEXT = ("--b", "--out")
+DEFAULTS = {"--budget": DEFAULT_BUDGET, "--format": "csv", "--path": "formula"}
+HELP = ("-h", "--help")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
 
-    def error(self, message):
-        raise InvalidParameters(" ".join(message.splitlines()))
+def _usage(words) -> str:
+    """The usage line of each command that starts with these words."""
+    prefix, lines = "".join(f"{w} " for w in words), []
+    for command, options in COMMANDS.items():
+        if f"{command} ".startswith(prefix):
+            line = ["usage: ikdeg", command]
+            for option in options.split():
+                alts = (f"{f} {'|'.join(CHOICES.get(f, [f[2:].upper()]))}" for f in option.split("|"))
+                line.append(f"[{' | '.join(alts)}]")
+            lines.append(" ".join(line))
+    return "\n".join(lines) + "\n"
 
 
-def _int_options(parser, flags: str):
-    """Integer options; a pair joined by "|" excludes each other."""
-    for option in flags.split():
-        group = parser.add_mutually_exclusive_group() if "|" in option else parser
-        for flag in option.split("|"):
-            group.add_argument(flag, type=int, default=DEFAULT_BUDGET if flag == "--budget" else None)
+def _is_flag(token: str) -> bool:
+    """As argparse reads a token: "-", a negative number or text with a
+    space is a value, anything else that starts with "-" an option."""
+    number = token[1:].replace(".", "", 1).isdigit() and token[-1] != "."
+    return token[:1] == "-" and token != "-" and not number and " " not in token
 
 
-def build_parser(command=None):
-    """The parser of every command. Given the command word that starts
-    the arguments, a command other than verify leaves out the suite
-    parsers; every command name stays registered."""
-    ap = _Parser(prog="ikdeg", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+def parse_args(argv):
+    """The namespace of argv: command, suite, and one attribute per option
+    (its value, its default, or None); or None once -h has printed usage.
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.set_defaults(func=cmd_verify)
-    if command in (None, "verify"):
-        suite = pv.add_subparsers(dest="suite", required=True)  # each reads only its own options
-        for name, flags in (
-            ("identity", "--p --n --budget"),
-            ("degree", "--p|--p-max --n|--n-max"),  # --p and --n are maxima
-            ("stickelberger", "--p|--p-max"),
-            ("cases", ""),
-            ("bounds", ""),
-            ("all", ""),
-        ):
-            _int_options(suite.add_parser(name), flags)
-
-    pc = sub.add_parser("census", help="parameter-sweep census")
-    _int_options(pc, "--p --p-max --k --n --n-max")
-    pc.add_argument("--format", choices=["csv", "json", "table"], default="csv")
-    pc.add_argument("--out", type=str)
-    pc.set_defaults(func=cmd_census)
-
-    ps = sub.add_parser("sum", help="one inverted Kloosterman sum")
-    _int_options(ps, "--p --k --n --budget")
-    ps.add_argument("--b", type=str)
-    ps.add_argument("--path", choices=["brute", "formula", "both"], default="formula")
-    ps.set_defaults(func=cmd_sum)
-    return ap
+    It accepts what argparse accepted (--p=5, negative integers, the last
+    of a repeated option) and raises InvalidParameters with argparse's
+    wording, on one line.
+    """
+    words = []
+    while " ".join(words) not in COMMANDS:
+        i, dest = len(words), "suite" if words else "command"
+        names = list(dict.fromkeys(c.split()[i] for c in COMMANDS if c.split()[:i] == words))
+        if i == len(argv):
+            raise InvalidParameters(f"the following arguments are required: {dest}")
+        if argv[i] in HELP:
+            sys.stdout.write(_usage(words))
+            return None
+        if argv[i] not in names:
+            choices = ", ".join(map(repr, names))
+            raise InvalidParameters(f"argument {dest}: invalid choice: {argv[i]!r} (choose from {choices})")
+        words.append(argv[i])
+    reads, excludes = set(), {}
+    for option in COMMANDS[" ".join(words)].split():
+        pair = option.split("|")
+        reads.update(pair)
+        excludes.update((a, b) for a in pair for b in pair if a != b)
+    given, extras = {}, []
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        if token in HELP:
+            sys.stdout.write(_usage(words))
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in reads:
+            extras.append(token)
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise InvalidParameters(f"argument {flag}: expected one argument")
+        if flag in CHOICES:
+            if value not in CHOICES[flag]:
+                choices = ", ".join(map(repr, CHOICES[flag]))
+                raise InvalidParameters(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        elif flag not in TEXT:
+            try:
+                value = int(value)
+            except ValueError:
+                raise InvalidParameters(f"argument {flag}: invalid int value: {value!r}") from None
+        if excludes.get(flag) in given:
+            raise InvalidParameters(f"argument {flag}: not allowed with argument {excludes[flag]}")
+        given[flag] = value
+    if extras:
+        raise InvalidParameters(" ".join(f"unrecognized arguments: {' '.join(extras)}".splitlines()))
+    flags = {f for options in COMMANDS.values() for f in options.replace("|", " ").split()}
+    return SimpleNamespace(
+        command=words[0],
+        suite=words[1] if len(words) > 1 else None,
+        **{f[2:].replace("-", "_"): given.get(f, DEFAULTS.get(f)) for f in flags},
+    )
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = parse_args(argv)
+        if args is None:  # -h printed usage
+            return 0
         if args.command == "sum":
             if args.p is None or args.n is None or args.b is None:
                 raise InvalidParameters("sum needs --p, --n, and --b")
         if args.command == "census" and args.p is None:
             raise InvalidParameters("census needs --p")
         for name in ("k", "n", "n_max"):
-            value = getattr(args, name, None)
+            value = getattr(args, name)
             if value is not None and value < 1:
                 raise InvalidParameters(f"--{name.replace('_', '-')} must be >= 1")
-        return args.func(args)
+        return {"verify": cmd_verify, "census": cmd_census, "sum": cmd_sum}[args.command](args)
     except (InvalidParameters, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -303,5 +360,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """The `ikdeg` command, `python -m ikdeg` and `python -m ikdeg.cli`:
+    main() on sys.argv, then exit with its code."""
+    code = main()
+    # The collections at interpreter exit would scan every live object
+    # (about 11 000 from site alone) and no ikdeg object needs a finaliser
+    # then; frozen objects are skipped. atexit handlers and the flush of
+    # open files still run.
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ikdeg import (
-    CycInt, bounds_check, charsum, cli, ff, get_field, ik_degree, ik_formula_scaled, kernels,
+    CycInt, bounds_check, charsum, ff, get_field, ik_degree, ik_formula_scaled, kernels,
     run_case_analysis,
 )
-from ikdeg.cli import CSV_FIELDS, _fmt_cell, build_parser, main
+from ikdeg.cli import CSV_FIELDS, _fmt_cell, _value_json, main, parse_args
 from ikdeg.errors import InvalidParameters
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -53,28 +54,85 @@ def test_verify_identity_partial_budget_skip(capsys):
     ]
 
 
-def test_python_dash_m_entry_point():
+# The three ways to start the CLI; each goes through cli.run().
+ENTRY_POINTS = (
+    ["-m", "ikdeg"],
+    ["-m", "ikdeg.cli"],
+    ["-c", "from ikdeg.cli import run; run()"],
+)
+
+
+def _run_child(args, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ikdeg", "sum", "--p", "5", "--n", "1", "--b", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60, **kwargs
     )
-    assert proc.returncode == 0, proc.stderr
-    assert "degree(20*IK) = 2" in proc.stdout
+
+
+def test_python_dash_m_entry_point():
+    # every entry point prints the same bytes and exits with main()'s code
+    for argv, code in (("sum --p 5 --n 1 --b 1", 0), ("sum --p 5 --n 1 --b 1 --k x", 2)):
+        results = {
+            (proc.returncode, proc.stdout, proc.stderr)
+            for proc in (_run_child([*entry, *argv.split()]) for entry in ENTRY_POINTS)
+        }
+        assert len(results) == 1, results
+        (got, out, err), = results
+        assert got == code, err
+        if code == 0:
+            assert "degree(20*IK) = 2" in out and err == ""
+        else:
+            assert out == "" and err == "error: argument --k: invalid int value: 'x'\n"
+
+
+def test_entry_point_writes_the_whole_census_file(tmp_path):
+    # run() exits without the collector's teardown scan; the file is still whole
+    target = tmp_path / "census.csv"
+    proc = _run_child(["-m", "ikdeg", *CENSUS_PRIME.split(), "--out", str(target)], cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    data = target.read_bytes()
+    ref = REFERENCE["census-prime"]
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (ref["sha256"], ref["bytes"])
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only run() freezes; tests and traced benchmark runs keep normal collection
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "sum", "--p", "5", "--n", "1", "--b", "1")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_installed_command_goes_through_run():
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^ikdeg = "ikdeg\.cli:run"$', text, flags=re.M)
+
+
+SKIPPED_MODULES = ("argparse", "gettext", "locale", "json", "dataclasses")
 
 
 def test_cli_import_leaves_out_dataclasses():
     script = (
         "import sys\n"
-        "before = {m for m in ('dataclasses', 'json') if m in sys.modules}\n"
+        f"skipped = set({SKIPPED_MODULES!r})\n"
+        "before = skipped & set(sys.modules)\n"
         "import ikdeg.cli\n"
-        "assert {'dataclasses', 'json'} & set(sys.modules) <= before\n"
+        "assert skipped & set(sys.modules) <= before, skipped & set(sys.modules) - before\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = _run_child(["-c", script])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sum_runs_without_json_or_argparse():
+    script = (
+        "import sys\n"
+        "before = {'json', 'argparse'} & set(sys.modules)\n"
+        "from ikdeg.cli import main\n"
+        "assert main('sum --p 7 --n 2 --b 3 --path both'.split()) == 0\n"
+        "assert {'json', 'argparse'} & set(sys.modules) <= before\n"
+    )
+    proc = _run_child(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert "paths agree: True" in proc.stdout
 
 
 def test_verify_stickelberger_single(capsys):
@@ -124,6 +182,17 @@ def test_sum_formula_line_is_the_wide_formula(capsys, p, k):
         assert code == 0
         want = ik_formula_scaled(F, n, F.generator).reduced().to_dict()
         assert out.splitlines()[0] == f"formula {q * (q - 1)}*IK_{n}({q}, {b}) = {json.dumps(want)}"
+
+
+coeff = st.integers(-(2**70), 2**70) | st.integers(-5, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.sampled_from([1, 2, 3, 5, 7, 31, 4, 6, 12, 20, 156]), data=st.data())
+def test_value_line_is_the_json_of_the_value(m, data):
+    # prime and composite conductors, negative coefficients and ones past 2^64
+    z = CycInt(m, data.draw(st.lists(coeff, min_size=m, max_size=m)))
+    assert _value_json(z) == json.dumps(z.to_dict())
 
 
 # Runs one CLI command in a fresh interpreter (so no value is cached) with
@@ -505,7 +574,7 @@ def run_main(argv):
 
 def accepts(command, flag):
     try:
-        build_parser().parse_args([*command, flag, VALUES[flag]])
+        parse_args([*command, flag, VALUES[flag]])
     except InvalidParameters:
         return False
     return True
@@ -529,26 +598,58 @@ def test_each_command_accepts_exactly_what_it_reads():
     assert sum(map(len, READS.values())) == 22
 
 
-def test_main_builds_the_suite_parsers_only_for_verify(monkeypatch):
-    # a cold sum or census query skips the six suite parsers; the command
-    # names all stay registered, so an unknown command reads as before
-    built = []
-    init = cli._Parser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", counted)
-    for argv, parsers in (
-        ("sum --p 5 --n 1 --b 1", 4), ("census --p 3", 4), ("verify cases", 10), ("bogus", 4),
-    ):
-        built.clear()
-        run_main(argv.split())
-        assert len(built) == parsers, argv
+def test_unknown_command_names_every_command():
     with pytest.raises(InvalidParameters) as full:
-        build_parser().parse_args(["bogus"])
+        parse_args(["bogus"])
+    assert str(full.value) == "argument command: invalid choice: 'bogus' (choose from 'verify', 'census', 'sum')"
     assert run_main(["bogus"]) == (2, "", f"error: {full.value}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        ("sum --p=5 --n=1 --b=1", {"p": 5, "n": 1, "b": "1"}),
+        ("sum --p 5 --n 1 --b -3", {"b": "-3"}),
+        ("census --p -5 --out -3.5", {"p": -5, "out": "-3.5"}),
+        ("sum --p 3 --n 1 --b 1 --p 5 --path brute --path both", {"p": 5, "path": "both"}),
+        ("verify degree --p-max 7 --p-max 11", {"p_max": 11, "p": None}),
+        ("census --p 3", {"format": "csv", "out": None, "n": None}),
+        ("verify identity", {"budget": charsum.DEFAULT_BUDGET}),
+    ],
+)
+def test_parser_reads_what_argparse_read(argv, want):
+    # --opt=value, negative values and the last of a repeated option
+    args = parse_args(argv.split())
+    assert {name: getattr(args, name) for name in want} == want
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["sum", "--p"], "argument --p: expected one argument"),
+        (["sum", "--p", "--n", "1"], "argument --p: expected one argument"),
+        (["census", "--p", "x"], "argument --p: invalid int value: 'x'"),
+        (["census", "--p", "3", "--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'csv', 'json', 'table')"),
+        ([], "the following arguments are required: command"),
+        (["verify"], "the following arguments are required: suite"),
+        (["verify", "x"], "argument suite: invalid choice: 'x' "
+         "(choose from 'identity', 'degree', 'stickelberger', 'cases', 'bounds', 'all')"),
+        (["sum", "--p", "5", "--x", "a\nb", "c\r\nd"], "unrecognized arguments: --x a b c d"),
+    ],
+)
+def test_parse_error_is_one_line(argv, err):
+    assert run_main(argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("command", [(), ("verify",), *READS], ids=" ".join)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_options_each_command_reads(command, flag):
+    code, out, err = run_main([*command, flag])
+    assert (code, err) == (0, "")
+    under = [c for c in READS if c[: len(command)] == command]
+    assert len(out.splitlines()) == len(under)
+    assert set(re.findall(r"--[a-z-]+", out)) == {f for c in under for f in READS[c]}
 
 
 def _not_int(text):
@@ -606,7 +707,7 @@ def test_readme_cli_lines_parse():
     lines = [ln.split("#", 1)[0] for block in blocks for ln in block.splitlines() if "ikdeg " in ln]
     assert len(lines) >= 7
     for line in lines:
-        build_parser().parse_args(shlex.split(line.split("ikdeg ", 1)[1]))
+        assert parse_args(shlex.split(line.split("ikdeg ", 1)[1])) is not None
 
 
 def test_readme_option_table_matches_parser():
