@@ -7,8 +7,11 @@ for n = 1, O(n q^2) beyond, and never more than 2n (q-1)^n additions.
 It is the independent witness. The Gauss-sum formula, the object under
 test, is a sum over characters of relabelled copies rho_m of one term in
 Z[zeta_{p(q-1)}]; `ik_formula_scaled` states it literally, while
-`scaled_ik_at_p` reads its value in Z[zeta_p] off that one term, since
-the sum of rho_m over all m is (q-1) times the zeta_{q-1}-free row.
+`scaled_ik_values` reads all q-1 values of one (q, n) in Z[zeta_p] off
+that one term, since the sum of rho_m over all m is (q-1) times the
+zeta_{q-1}-free row. A field keeps the powers of its Gauss sum and the
+tuple of values of each n it was asked for; `scaled_ik_at_p` is one
+entry of that tuple.
 Identities involving 1/(q(q-1)) are kept in scaled form so that
 everything stays inside a ring with decidable equality.
 """
@@ -17,16 +20,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .cyclo import (
-    _ROWS_KEPT_MAX_M,
-    CycInt,
-    _evaluate,
-    _exponent_perms,
-    _kept_root_rows,
-    _root_row,
-    embed_all,
-    map_exponents,
-)
+from .cyclo import CycInt, _evaluate, _exponent_perms, _root_row, embed_all, map_exponents
 from .errors import BudgetExceeded, CharAtZero, OrbitMismatch, ZeroParameter
 from .ff import Field, FieldElt
 
@@ -71,10 +65,16 @@ def _check_ik_args(F: Field, n: int, b) -> FieldElt:
     return b
 
 
+def over_budget(q: int, n: int, budget: int) -> bool:
+    """Whether the (q-1)^n unit tuples of IK_n(q, b) exceed the budget; the
+    counting does at most 2n times that work."""
+    return (q - 1) ** n > budget
+
+
 def _enumeration_guard(F: Field, n: int, b, budget: int) -> FieldElt:
-    """Refuse (q-1)^n > budget; the counting does at most 2n times that work."""
+    """Refuse a count that is over_budget."""
     b = _check_ik_args(F, n, b)
-    if (F.q - 1) ** n > budget:
+    if over_budget(F.q, n, budget):
         raise BudgetExceeded(f"(q-1)^n = {(F.q - 1) ** n} exceeds budget {budget}")
     return b
 
@@ -191,26 +191,9 @@ def _character_terms(F: Field, n: int) -> CycInt:
     one Gauss sum and one product serve every character; the powers of
     G(chi) are shared by every n of the field (_gauss_power).
     """
-    key = ("ikterm", n)
-    cached = F._cache.get(key)
-    if cached is None:
-        p, q1 = F.p, F.q - 1
-        cached = _relabel(_gauss_power(F, 2), p, -(n + 1)) * _gauss_power(F, n + 1)
-        cached = cached.shifted(p * ((-(n + 1) * F.dlog(F.elt(-1))) % q1))  # chi^(n+1)(-1)
-        F._cache[key] = cached
-    return cached
-
-
-def _rho0_term(F: Field, n: int) -> tuple:
-    """The coefficients of rho_0(T) in Z[zeta_p], T term 1: zeta_{q-1} -> 1,
-    so zeta_{p(q-1)}^e -> zeta_p^(e/(q-1)). It does not depend on b, so it
-    is cached per (q, n) next to term 1."""
-    key = ("rho0", n)
-    cached = F._cache.get(key)
-    if cached is None:
-        cached = map_exponents(_character_terms(F, n), pow(F.q - 1, -1, F.p), F.p).coeffs
-        F._cache[key] = cached
-    return cached
+    p, q1 = F.p, F.q - 1
+    term = _relabel(_gauss_power(F, 2), p, -(n + 1)) * _gauss_power(F, n + 1)
+    return term.shifted(p * ((-(n + 1) * F.dlog(F.elt(-1))) % q1))  # chi^(n+1)(-1)
 
 
 def ik_formula_scaled(F: Field, n: int, b) -> CycInt:
@@ -228,35 +211,45 @@ def ik_formula_scaled(F: Field, n: int, b) -> CycInt:
     return total
 
 
-def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:
-    """q(q-1) * IK_n(q, b) in Z[zeta_p], reduced, read off term 1.
+def scaled_ik_values(F: Field, n: int) -> tuple:
+    """q(q-1) * IK_n(q, g^j) in Z[zeta_p], reduced, for j = 0 .. q-2: the
+    values of one (F, n) in dlog order, read off term 1 once and kept per
+    field.
 
     Summed over m = 0 .. q-2, rho_m(x) is (q-1) times the row of x free of
     zeta_{q-1}, so the formula's sum over m = 1 .. q-2 is
-    (q-1) * row_0(T_b) - rho_0(T_b). Exponents split by CRT:
+    (q-1) * row_0(T_b) - rho_0(T_b), T_b term 1 times zeta_{q-1}^(dlog b).
+    Exponents split by CRT:
     zeta_{p(q-1)}^e = zeta_p^(e/(q-1) mod p) * zeta_{q-1}^(e/p mod q-1).
     """
-    b = _check_ik_args(F, n, b)
-    key = ("ik_at_p", n, b.coeffs)
-    cached = F._cache.get(key)
-    if cached is None:
+    if n < 1:
+        raise ZeroParameter("dimension n must be >= 1")
+    key = ("values", n)
+    values = F._cache.get(key)
+    if values is None:
         p, q1 = F.p, F.q - 1
         big_m = p * q1
-        rho0 = _rho0_term(F, n)  # rho_0(T_b) = rho_0(T)
-        t = _character_terms(F, n).coeffs
-        # T_b is free of zeta_{q-1} where T has zeta_{q-1}^(-dlog b)
-        row = p * (-F.dlog(b) % q1)
-        out = [q1 * t[(q1 * a + row) % big_m] - r for a, r in enumerate(rho0)]
-        out[0] += -(q1 ** (n + 1)) + (-1) ** (n + 1)
-        cached = CycInt(p, out).reduced()
-        F._cache[key] = cached
-    return cached
+        term = _character_terms(F, n)
+        t = term.coeffs
+        # rho_0 sends zeta_{q-1} to 1, so rho_0(T_b) = rho_0(T) for every b
+        rho0 = map_exponents(term, pow(q1, -1, p), p).coeffs
+        const = -(q1 ** (n + 1)) + (-1) ** (n + 1)
+        values = []
+        for j in range(q1):
+            # T_b, b = g^j, is free of zeta_{q-1} where T has zeta_{q-1}^(-j)
+            row = p * (-j % q1)
+            out = [q1 * t[(q1 * a + row) % big_m] - r for a, r in enumerate(rho0)]
+            out[0] += const
+            values.append(CycInt(p, out).reduced())
+        values = F._cache[key] = tuple(values)
+    return values
 
 
-def scaled_ik_values(F: Field, n: int) -> list:
-    """scaled_ik_at_p(F, n, g^j) for j = 0 .. q-2: the values of one (F, n)
-    in dlog order, as orbit_bounds reads them."""
-    return [scaled_ik_at_p(F, n, F.pow_of_generator(j)) for j in range(F.q - 1)]
+def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:
+    """q(q-1) * IK_n(q, b) in Z[zeta_p], reduced: entry dlog b of
+    scaled_ik_values(F, n)."""
+    b = _check_ik_args(F, n, b)
+    return scaled_ik_values(F, n)[F.dlog(b)]
 
 
 def s1_identity_check(F: Field, n: int) -> bool:
@@ -384,7 +377,7 @@ def orbit_bounds(F: Field, n: int, values: list) -> list:
     canon = [z.canonical() for z in values]
     _check_orbits(F, n, a, step, canon)
     scale, rhs1, rhs2, shift1, shift2 = _bound_terms(F, n)
-    rows = dict(_kept_root_rows(p)) if p <= _ROWS_KEPT_MAX_M else {1: _root_row(p, 1)}
+    rows = {1: _root_row(p, 1)}  # the rows of other a are built when first read
     firsts = [_evaluate(c, rows[1]) / scale for c in canon]
     spread = max(sum(map(abs, c)) for c in canon) / scale
     near = set()  # indices whose first embedding can reach their orbit's maximum

@@ -165,7 +165,6 @@ def cyclotomic_poly(m: int) -> IntPoly:
     return IntPoly(out)
 
 
-@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     return cyclotomic_poly(m).degree
 
@@ -425,21 +424,6 @@ def _root_row(m: int, j: int) -> tuple:
     return tuple([roots[j * e % m] for e in range(m)])
 
 
-def _root_rows(m: int):
-    """(j, row of j) for each j in 0 .. m-1 coprime to m, ascending, built
-    one at a time: O(m) memory at a wide conductor such as p(q-1)."""
-    return ((j, _root_row(m, j)) for j in range(m) if gcd(j, m) == 1)
-
-
-# every row of a conductor up to this is kept: phi(m) * m <= 2^16 slots
-_ROWS_KEPT_MAX_M = 256
-
-
-@lru_cache(maxsize=64)
-def _kept_root_rows(m: int) -> tuple:
-    return tuple(_root_rows(m))
-
-
 def _evaluate(coeffs, row) -> complex:
     # ascending e, plain left-to-right additions from 0j, so the floats are
     # those of adding the nonzero c * root one at a time: a partial sum that
@@ -457,8 +441,9 @@ def embed_all(z: CycInt):
     over j coprime to m, ascending. The bound 8 * sum |c| * eps is the
     same for every j, so it is computed once."""
     m, c = z.m, z.coeffs
-    rows = _kept_root_rows(m) if m <= _ROWS_KEPT_MAX_M else _root_rows(m)
-    return {j: _evaluate(c, row) for j, row in rows}, _error_bound(c)
+    # each row is built, read and dropped: O(m) memory at a wide conductor
+    # such as p(q-1)
+    return {j: _evaluate(c, _root_row(m, j)) for j in range(m) if gcd(j, m) == 1}, _error_bound(c)
 
 
 def embed_complex(z: CycInt, j: int):

@@ -197,7 +197,7 @@ class FieldElt:
 class Field:
     """The finite field F_{p^k}, immutable after construction."""
 
-    def __init__(self, p: int, k: int = 1, modulus: IntPoly | None = None):
+    def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
             raise InvalidParameters(f"{p} is not prime")
         if k < 1:
@@ -205,17 +205,8 @@ class Field:
         self.p = p
         self.k = k
         self.q = p**k
-        if modulus is None:
-            modulus = default_modulus(p, k)
-        elif not isinstance(modulus, IntPoly):
-            modulus = IntPoly(modulus)
-        mc = [c % p for c in modulus.coeffs]
-        if len(mc) - 1 != k or mc[-1] != 1:
-            raise InvalidParameters("modulus must be monic of degree k")
-        if k > 1 and not _is_irreducible(mc, p):
-            raise InvalidParameters("modulus is reducible mod p")
-        self.modulus = IntPoly(mc)
-        self._mod_coeffs = mc
+        self.modulus = default_modulus(p, k)
+        self._mod_coeffs = list(self.modulus.coeffs)
         self._cache: dict = {}
         self.generator = self._find_generator()
         self._build_dlog()

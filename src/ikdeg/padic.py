@@ -427,6 +427,6 @@ def case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:
 
 
 def run_case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:
-    """case_analysis under the name the suites call; the benchmark tracer
-    spans both names."""
+    """case_analysis under a second name, which the tests call; the
+    benchmark tracer spans both names."""
     return case_analysis(p, n, b, a)

@@ -9,12 +9,12 @@ from __future__ import annotations
 from math import gcd
 
 from .charsum import (
-    DEFAULT_BUDGET, inverted_kloosterman_brute, orbit_bounds, scaled_ik_at_p, scaled_ik_values,
+    DEFAULT_BUDGET, inverted_kloosterman_brute, orbit_bounds, over_budget, scaled_ik_values,
 )
 from .errors import BudgetExceeded, InvalidParameters
 from .ff import get_field, is_prime
-from .galois import ik_degree
-from .padic import run_case_analysis, stickelberger_check
+from .galois import degree_of
+from .padic import case_report, exact_valuation, stickelberger_check
 
 IDENTITY_PRIMES = (3, 5, 7, 11, 13)
 IDENTITY_NS = (1, 2, 3)
@@ -40,20 +40,21 @@ def identity_suite(p=None, n=None, budget=DEFAULT_BUDGET):
     for pp in primes:
         if not is_prime(pp):
             raise InvalidParameters(f"{pp} is not prime")
-    if all((pp - 1) ** nn > budget for pp in primes for nn in ns):
+    if all(over_budget(pp, nn, budget) for pp in primes for nn in ns):
         raise BudgetExceeded(f"budget {budget} skips every identity case")
     lines = []
     ok = True
     for pp in primes:
         F = get_field(pp)
         for nn in ns:
-            if (pp - 1) ** nn > budget:
+            if over_budget(pp, nn, budget):
                 lines.append(f"identity p={pp} n={nn}: skipped (budget)")
                 continue
+            values = scaled_ik_values(F, nn)
             bad = []
             for b in F.units():
                 brute = inverted_kloosterman_brute(F, nn, b, budget)
-                if pp * (pp - 1) * brute != scaled_ik_at_p(F, nn, b):
+                if pp * (pp - 1) * brute != values[F.dlog(b)]:
                     bad.append(b.serialize())
             if bad:
                 ok = False
@@ -71,8 +72,9 @@ def degree_suite(p_max=DEGREE_P_MAX, n_max=DEGREE_N_MAX):
         F = get_field(p)
         for n in range(1, n_max + 1):
             expected = (p - 1) // gcd(n + 1, p - 1)
+            values = scaled_ik_values(F, n)
             bad = [
-                b.serialize() for b in F.units() if ik_degree(F, n, b) != expected
+                b.serialize() for b in F.units() if degree_of(values[F.dlog(b)]) != expected
             ]
             if bad:
                 ok = False
@@ -89,10 +91,11 @@ def divisibility_suite(fields=EXTENSION_FIELDS, ns=EXTENSION_NS):
         F = get_field(p, k)
         for n in ns:
             bound = (p - 1) // gcd(n + 1, p - 1)
+            values = scaled_ik_values(F, n)
             bad = [
                 b.serialize()
                 for b in F.units()
-                if bound % ik_degree(F, n, b) != 0
+                if bound % degree_of(values[F.dlog(b)]) != 0
             ]
             if bad:
                 ok = False
@@ -153,12 +156,17 @@ def cases_suite():
     lines = []
     for label, pairs in (("I", CASE_I_PAIRS), ("II", CASE_II_PAIRS), ("III", CASE_III_PAIRS)):
         for p, n in pairs:
+            F = get_field(p)
+            values = scaled_ik_values(F, n)
             g1 = gcd(n + 1, p - 1)
             bad = []
             count = 0
             for a in range(1, p):
                 for b in range(1, p):
-                    rep = run_case_analysis(p, n, b, a)
+                    # the conjugate difference of case_analysis(p, n, b, a)
+                    b2 = b * pow(a, -(n + 1), p) % p
+                    diff = values[F.dlog(b)] - values[F.dlog(b2)]
+                    rep = case_report(p, n, b, a, exact_valuation(diff))
                     if pow(a, g1, p) == 1:
                         if rep.case_label != "stabilized" or not rep.ok:
                             bad.append((a, b, "stabilized", rep.ok))

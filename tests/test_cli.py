@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ikdeg import (
-    CycInt, bounds_check, charsum, ff, get_field, ik_degree, ik_formula_scaled, kernels,
+    CycInt, bounds_check, charsum, cli, ff, get_field, ik_degree, ik_formula_scaled, kernels,
     run_case_analysis,
 )
 from ikdeg.cli import CSV_FIELDS, _fmt_cell, _value_json, main, parse_args
@@ -278,9 +278,10 @@ def test_stickelberger_at_p_211_runs_in_64_mb_of_address_space():
     assert proc.stdout == "stickelberger p=211: ok (m = 0..209)\n"
 
 
-def test_census_reads_rho0_once_and_one_gauss_product_per_power(monkeypatch, capsys):
-    # fresh fields, so nothing is cached from earlier tests; every ikdeg
-    # module that looks fields up gets the same ones
+@pytest.fixture
+def fresh_fields(monkeypatch):
+    """Fresh fields, so nothing is cached from earlier tests; every ikdeg
+    module that looks fields up gets the same ones. Maps (p, k) to each."""
     fields = {}
 
     def fresh_field(p, k):
@@ -289,6 +290,13 @@ def test_census_reads_rho0_once_and_one_gauss_product_per_power(monkeypatch, cap
         return fields[p, k]
 
     monkeypatch.setattr(ff, "_field", fresh_field)
+    return fields
+
+
+def test_census_reads_rho0_once_and_one_gauss_product_per_power(
+    fresh_fields, monkeypatch, capsys
+):
+    fields = fresh_fields
     maps, products = [], []
     map_exponents, convolve = charsum.map_exponents, kernels.cyclic_convolve
 
@@ -312,6 +320,18 @@ def test_census_reads_rho0_once_and_one_gauss_product_per_power(monkeypatch, cap
     # per field: g^2 = g*g, then g^(n+1) = g^n * g for n = 2, 3, 4, and one
     # product per n for term 1
     assert sorted(products) == sorted(p * (p - 1) for p in primes for _ in range(8))
+
+
+def test_fields_keep_only_gauss_powers_and_value_tuples(fresh_fields, capsys):
+    for argv in ("census --p 3 --p-max 13 --n 1 --n-max 3", "verify all"):
+        assert run_cli(capsys, *argv.split())[0] == 0
+    assert len(fresh_fields) == 16  # primes up to 31 and the five extension fields
+    for F in fresh_fields.values():
+        assert F._cache
+        for key in F._cache:
+            assert key[0] in ("gauss_power", "values") and len(key) == 2, (F, key)
+            if key[0] == "values":
+                assert isinstance(charsum.scaled_ik_values(F, key[1]), tuple)
 
 
 REFERENCE = json.loads((SRC.parent / "perfbench" / "reference.json").read_text())
@@ -411,15 +431,14 @@ def test_census_bound_floats_are_read_per_record_not_per_orbit(capsys):
 def test_census_value_off_its_orbit_exits_1(monkeypatch, capsys):
     # the census reads its exact invariants once per Galois orbit, so it
     # first checks that the values form orbits
-    scaled_ik_at_p = charsum.scaled_ik_at_p
+    def perturbed(F, n):
+        values = list(charsum.scaled_ik_values(F, n))  # a copy: the kept tuple stays
+        if (F.p, n) == (7, 2):
+            z = values[F.dlog(3)]
+            values[F.dlog(3)] = CycInt(z.m, [z.coeffs[0], z.coeffs[1] + 1, *z.coeffs[2:]])
+        return tuple(values)
 
-    def perturbed(F, n, b):
-        z = scaled_ik_at_p(F, n, b)
-        if (F.p, n, F.elt(b).coeffs) == (7, 2, (3,)):
-            return CycInt(z.m, [z.coeffs[0], z.coeffs[1] + 1, *z.coeffs[2:]])
-        return z
-
-    monkeypatch.setattr(charsum, "scaled_ik_at_p", perturbed)
+    monkeypatch.setattr(cli, "scaled_ik_values", perturbed)
     code, out, err = run_cli(capsys, *"census --p 5 --p-max 7 --n 1 --n-max 2".split())
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -20,7 +20,7 @@ from ikdeg import (
     lower_conductor,
     scaled_ik_at_p,
 )
-from ikdeg import cyclo, kernels
+from ikdeg import kernels
 from ikdeg.errors import ConductorMismatch, NonCoprimeIndex, WrongConductor
 from ikdeg.ff import is_prime
 
@@ -183,10 +183,8 @@ def test_embed_all_is_embed_complex_bit_for_bit_on_random_values():
 
 
 def test_wide_conductor_rows_are_not_kept():
-    # above the kept-rows limit a row is built per j and dropped, so one
-    # embedding at p(q-1) = 131070 (q = 2^16) costs O(m), not phi(m) * m
-    kept = cyclo._kept_root_rows
-    before = kept.cache_info().currsize
+    # a row is built per j and dropped, so one embedding at
+    # p(q-1) = 131070 (q = 2^16) costs O(m), not phi(m) * m
     m = 2 * 3 * 5 * 17 * 257
     rng = random.Random(11)
     z = CycInt(m, [rng.randrange(-5, 6) if rng.random() < 0.001 else 0 for _ in range(m)])
@@ -198,7 +196,6 @@ def test_wide_conductor_rows_are_not_kept():
                 want += c * cmath.exp(2j * cmath.pi * ((j * i) % m) / m)
         assert _bits(v) == _bits(want), j
     _assert_embed_all_is_embed_complex(CycInt(514, [rng.randrange(-9, 10) for _ in range(514)]))
-    assert kept.cache_info().currsize == before
 
 
 def test_embedding_norm_product_is_integer():

@@ -148,13 +148,5 @@ def test_invalid_parameters():
     with pytest.raises(InvalidParameters):
         Field(5, 0)
     with pytest.raises(InvalidParameters):
-        Field(2, 2, modulus=[0, 0, 1])  # t^2 is reducible
-    with pytest.raises(InvalidParameters):
         get_field(5).elt([1, 2])
 
-
-def test_custom_modulus():
-    # F_9 with the other irreducible t^2 + t + 2
-    F = Field(3, 2, modulus=[2, 1, 1])
-    t = F.from_encoding(3)
-    assert (t * t).coeffs == (1, 2)  # t^2 = -t - 2 = 2t + 1

@@ -41,6 +41,7 @@ from ikdeg.suites import (
     DEGREE_N_MAX,
     DEGREE_P_MAX,
     STICKELBERGER_PRIMES,
+    cases_suite,
     stickelberger_suite,
 )
 from oracles import default_precision, teichmuller_residue
@@ -335,6 +336,30 @@ def test_case_guards():
         case_analysis(7, 1, 1, 7)
     with pytest.raises(InvalidParameters):
         case_analysis(6, 1, 1, 1)
+
+
+def test_cases_suite_lines_are_those_of_run_case_analysis():
+    # the suite reads each difference off one tuple of values per (p, n);
+    # the oracle runs the per-(b, a) case_analysis over the same pairs
+    want = []
+    for label, pairs in (("I", CASE_I_PAIRS), ("II", CASE_II_PAIRS), ("III", CASE_III_PAIRS)):
+        for p, n in pairs:
+            bad, count = [], 0
+            for a in range(1, p):
+                for b in range(1, p):
+                    rep = run_case_analysis(p, n, b, a)
+                    if pow(a, math.gcd(n + 1, p - 1), p) == 1:
+                        if rep.case_label != "stabilized" or not rep.ok:
+                            bad.append((a, b, "stabilized", rep.ok))
+                        continue
+                    count += 1
+                    if rep.case_label != label or not rep.ok:
+                        bad.append(
+                            (a, b, rep.case_label, rep.predicted_valuation, rep.observed_valuation)
+                        )
+            head = f"cases {label} p={p} n={n}: "
+            want.append(head + (f"FAIL at {bad}" if bad else f"ok ({count} (a, b) pairs)"))
+    assert cases_suite() == (True, want)
 
 
 def test_valuation_only_from_certified_digits():
