@@ -18,7 +18,6 @@ from .charsum import (
 )
 from .cyclo import (
     CycInt,
-    IntPoly,
     change_conductor,
     cyclotomic_poly,
     embed_all,
@@ -27,7 +26,7 @@ from .cyclo import (
     galois_apply,
     lower_conductor,
 )
-from .ff import Field, FieldElt, dlog, get_field, primitive_root, trace
+from .ff import Field, FieldElt, get_field
 from .galois import (
     conjugate_set,
     degree_of,
@@ -64,7 +63,6 @@ __all__ = [
     "s1_identity_check",
     "scaled_ik_at_p",
     "CycInt",
-    "IntPoly",
     "change_conductor",
     "cyclotomic_poly",
     "embed_all",
@@ -74,10 +72,7 @@ __all__ = [
     "lower_conductor",
     "Field",
     "FieldElt",
-    "dlog",
     "get_field",
-    "primitive_root",
-    "trace",
     "conjugate_set",
     "degree_of",
     "equivariance_check",

@@ -55,8 +55,8 @@ def _fmt_cell(v):
     return str(v)
 
 
-def census_record(F: Field, n: int, j: int, degree: int, observed, bounds: tuple) -> dict:
-    """The census row of b = g^j, keyed by CSV_FIELDS.
+def census_record(F: Field, n: int, j: int, degree: int, observed, bounds: tuple) -> tuple:
+    """The census row of b = g^j, in CSV_FIELDS order.
 
     degree and, over F_p, observed (the valuation of z_j - z_(j-n-1), the
     case analysis's difference with a = g) are exact invariants of the
@@ -70,31 +70,28 @@ def census_record(F: Field, n: int, j: int, degree: int, observed, bounds: tuple
     if F.k == 1:
         rep = case_report(p, n, b.coeffs[0], F.generator.coeffs[0], observed)
         case_label, pred, obs = rep.case_label, rep.predicted_valuation, rep.observed_valuation
-    row = (
+    return (
         p, F.k, F.q, n, b.serialize(), degree, bound,
         (degree == bound) if F.k == 1 else "n/a",  # degree_matches
         *bounds,
         case_label, pred, obs,
     )
-    return dict(zip(CSV_FIELDS, row))
 
 
 def _emit(records, fmt, out):
     if fmt == "csv":
-        lines = [",".join(CSV_FIELDS)]
-        for r in records:
-            lines.append(",".join(_fmt_cell(r[f]) for f in CSV_FIELDS))
+        lines = [",".join(CSV_FIELDS)] + [",".join(map(_fmt_cell, r)) for r in records]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         import json  # only here: it costs every other command its import time
 
         rows = [
-            {f: (r[f] if not isinstance(r[f], float) else float(f"{r[f]:.12g}")) for f in CSV_FIELDS}
+            {f: (v if not isinstance(v, float) else float(f"{v:.12g}")) for f, v in zip(CSV_FIELDS, r)}
             for r in records
         ]
         text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     else:  # table
-        cells = [[_fmt_cell(r[f]) for f in CSV_FIELDS] for r in records]
+        cells = [list(map(_fmt_cell, r)) for r in records]
         widths = [
             max(len(CSV_FIELDS[i]), *(len(row[i]) for row in cells)) if cells else len(CSV_FIELDS[i])
             for i in range(len(CSV_FIELDS))
@@ -223,8 +220,8 @@ def cmd_sum(args) -> int:
         print(f"embedding j={j}: {c.real:.12g}{c.imag:+.12g}i (err <= {err:.3g})")
     poly = min_poly(value)  # asserts that its degree is the orbit size
     label = "IK" if scale == 1 else f"{scale}*IK"
-    print(f"degree({label}) = {poly.degree}")
-    print(f"minpoly({label}) = {list(poly.coeffs)}")
+    print(f"degree({label}) = {len(poly) - 1}")
+    print(f"minpoly({label}) = {list(poly)}")
     return code
 
 

@@ -18,89 +18,20 @@ from . import kernels
 from .errors import ConductorMismatch, NonCoprimeIndex, WrongConductor
 
 
-class IntPoly:
-    """Univariate polynomial with arbitrary-precision integer coefficients.
-
-    Coefficients ascend by degree; the zero polynomial has no coefficients.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPoly([other])
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("IntPoly", self.coeffs))
-
-    def __divmod__(self, other):
-        """Exact polynomial division over Z; every elimination step must divide."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        ddeg = other.degree
-        # only the divisor's nonzero coefficients touch the remainder
-        # (Phi_930 has 73 of 241)
-        terms = [(i - ddeg, dc) for i, dc in enumerate(other.coeffs) if dc]
-        quo = [0] * max(len(rem) - ddeg, 0)
-        for top in range(len(rem) - 1, ddeg - 1, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            q, r = divmod(c, dlead)
-            if r != 0:
-                raise ValueError("division not exact over Z")
-            quo[top - ddeg] = q
-            for i, dc in terms:
-                rem[top + i] -= q * dc
-        return IntPoly(quo), IntPoly(rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __call__(self, x):
-        """Evaluate by Horner; works for ints, CycInt, PadicElt, complex."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return 0 * x if not isinstance(x, int) else 0
-        return acc
-
-    def __repr__(self):
-        if self.is_zero():
-            return "IntPoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*x" if c != 1 else "x")
-            else:
-                terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return "IntPoly(" + " + ".join(terms) + ")"
+def poly_rem(c, f) -> list:
+    """c mod f over Z for a monic f, as exactly len(f) - 1 ascending
+    coefficients (c may be shorter). Only f's nonzero lower terms touch
+    the remainder (Phi_930 has 73 of 241)."""
+    deg = len(f) - 1
+    rem = list(c) + [0] * (deg - len(c))
+    terms = [(i - deg, fc) for i, fc in enumerate(f[:deg]) if fc]
+    for top in range(len(rem) - 1, deg - 1, -1):
+        q = rem[top]
+        if q:
+            for i, fc in terms:
+                rem[top + i] -= q * fc
+    del rem[deg:]
+    return rem
 
 
 def power(x, e: int, one, mul):
@@ -133,8 +64,9 @@ def prime_factors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial, as Phi_rad(x^(m/rad)).
+def cyclotomic_poly(m: int) -> tuple:
+    """The m-th cyclotomic polynomial's coefficients, ascending, as
+    Phi_rad(x^(m/rad)).
 
     rad is the product of the primes dividing m, and
     Phi_rad = prod over d | rad of (x^d - 1)^mu(rad/d). Phi_rad has degree
@@ -162,11 +94,11 @@ def cyclotomic_poly(m: int) -> IntPoly:
     step = m // rad
     out = [0] * (deg * step + 1)
     out[::step] = c
-    return IntPoly(out)
+    return tuple(out)
 
 
 def euler_phi(m: int) -> int:
-    return cyclotomic_poly(m).degree
+    return len(cyclotomic_poly(m)) - 1
 
 
 class CycInt:
@@ -217,12 +149,12 @@ class CycInt:
         if self._canon is None:
             m, c = self.m, self.coeffs
             phi = cyclotomic_poly(m)
-            if len(phi.coeffs) == m:  # m prime: Phi_m = 1 + x + ... + x^(m-1)
+            if len(phi) == m:  # m prime: Phi_m = 1 + x + ... + x^(m-1)
                 top = c[-1]
                 self._canon = tuple([x - top for x in c])
             else:
-                rem = IntPoly(c) % phi
-                self._canon = tuple(list(rem.coeffs) + [0] * (m - len(rem.coeffs)))
+                rem = poly_rem(c, phi)
+                self._canon = tuple(rem + [0] * (m - len(rem)))
         return self._canon
 
     def reduced(self):
@@ -384,14 +316,11 @@ def lower_conductor(z: CycInt, d: int) -> CycInt:
         if c:
             rows[(e * a_mul) % d][(e * b_mul) % r] += c
     phi_r = cyclotomic_poly(r)
-    deg_r = phi_r.degree
-    inner = []
-    for row in rows:
-        rem = IntPoly(row) % phi_r
-        inner.append(list(rem.coeffs) + [0] * (deg_r - len(rem.coeffs)))
+    deg_r = len(phi_r) - 1
+    inner = [poly_rem(row, phi_r) for row in rows]
     # reduce in the zeta_d variable; Phi_d is monic with integer
     # coefficients, so synthetic division works on vector coefficients
-    phi_d = cyclotomic_poly(d).coeffs
+    phi_d = cyclotomic_poly(d)
     deg_d = len(phi_d) - 1
     for top in range(d - 1, deg_d - 1, -1):
         lead = inner[top]

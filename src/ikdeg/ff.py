@@ -11,7 +11,7 @@ import operator
 from functools import cached_property, lru_cache
 from itertools import chain
 
-from .cyclo import IntPoly, power, prime_factors
+from .cyclo import power, prime_factors
 from .errors import FieldMismatch, InvalidParameters, InversionOfZero, LogOfZero
 
 
@@ -96,11 +96,12 @@ def _is_irreducible(coeffs, p):
     return True
 
 
-def default_modulus(p: int, k: int) -> IntPoly:
+def default_modulus(p: int, k: int) -> tuple:
     """Smallest monic irreducible of degree k mod p, by integer encoding
-    of the lower coefficients (most-significant coordinate last)."""
+    of the lower coefficients (most-significant coordinate last), as its
+    ascending coefficients."""
     if k == 1:
-        return IntPoly([0, 1])
+        return (0, 1)
     for code in range(p**k):
         lower = []
         c = code
@@ -109,7 +110,7 @@ def default_modulus(p: int, k: int) -> IntPoly:
             c //= p
         coeffs = lower + [1]
         if _is_irreducible(coeffs, p):
-            return IntPoly(coeffs)
+            return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -206,7 +207,6 @@ class Field:
         self.k = k
         self.q = p**k
         self.modulus = default_modulus(p, k)
-        self._mod_coeffs = list(self.modulus.coeffs)
         self._cache: dict = {}
         self.generator = self._find_generator()
         self._build_dlog()
@@ -255,10 +255,10 @@ class Field:
         return tuple(red + [0] * (self.k - len(red)))
 
     def _mul_raw(self, a, b):
-        return self._pad(_pmulmod(a, b, self._mod_coeffs, self.p))
+        return self._pad(_pmulmod(a, b, self.modulus, self.p))
 
     def _pow_raw(self, a, e):
-        return self._pad(_ppowmod(a, e, self._mod_coeffs, self.p))
+        return self._pad(_ppowmod(a, e, self.modulus, self.p))
 
     def _find_generator(self) -> FieldElt:
         one = tuple([1] + [0] * (self.k - 1))
@@ -278,7 +278,7 @@ class Field:
         encoding order, so it has few coordinates: one fused pass per step
         when g = alpha + c."""
         p, k = self.p, self.k
-        low = self._mod_coeffs[:k]  # alpha^k = -(low part)
+        low = self.modulus[:k]  # alpha^k = -(low part)
         *rest, lead = _ptrim(list(self.generator.coeffs))
         rest.reverse()
         self.dlog_table = {}
@@ -344,7 +344,7 @@ class Field:
     def __repr__(self):
         if self.k == 1:
             return f"Field(F_{self.p})"
-        return f"Field(F_{self.q} = F_{self.p}[t]/{self.modulus.coeffs})"
+        return f"Field(F_{self.q} = F_{self.p}[t]/{self.modulus})"
 
 
 @lru_cache(maxsize=None)
@@ -363,17 +363,3 @@ def get_field(p: int, k: int = 1) -> Field:
 
 get_field.cache_info = _field.cache_info
 
-
-# -- module-level convenience aliases -------------------------------------
-
-
-def trace(F: Field, x) -> int:
-    return F.trace(x)
-
-
-def primitive_root(F: Field) -> FieldElt:
-    return F.generator
-
-
-def dlog(F: Field, x) -> int:
-    return F.dlog(x)

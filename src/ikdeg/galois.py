@@ -8,7 +8,7 @@ no factorization is needed.
 from __future__ import annotations
 
 from .charsum import _check_ik_args, scaled_ik_at_p
-from .cyclo import CycInt, IntPoly, _exponent_perms, galois_apply
+from .cyclo import CycInt, _exponent_perms, galois_apply
 from .errors import NonIntegerCoefficients, WrongConductor, ZeroParameter
 from .ff import Field, is_prime
 
@@ -53,8 +53,9 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def min_poly(z: CycInt) -> IntPoly:
-    """Monic minimal polynomial of z over Q, by Newton's identities.
+def min_poly(z: CycInt) -> tuple:
+    """Monic minimal polynomial of z over Q, by Newton's identities, as its
+    ascending coefficients.
 
     With d = deg z and h = (p-1)/d, each conjugate appears h times among
     the sigma_a(z), so the power sums over the orbit are
@@ -74,12 +75,11 @@ def min_poly(z: CycInt) -> IntPoly:
         acc = sum((-1) ** (i - 1) * e[k - i] * power_sums[i] for i in range(1, k + 1))
         e.append(_exact_div(acc, k))
     # prod (x - c) over the orbit = sum_k (-1)^k e_k x^(d-k)
-    poly = IntPoly([(-1) ** k * e[k] for k in range(d, -1, -1)])
-    assert poly.is_monic() and poly.degree == d
+    poly = tuple([(-1) ** k * e[k] for k in range(d, -1, -1)])
     # poly(z) as a linear combination of the powers already held: no product
     value = [0] * p
-    value[0] = poly.coeffs[0]
-    for c, w in zip(poly.coeffs[1:], powers):
+    value[0] = poly[0]
+    for c, w in zip(poly[1:], powers):
         value = [v + c * x for v, x in zip(value, w.coeffs)]
     assert CycInt(p, value).is_zero(), "minimal polynomial does not vanish at z (bug)"
     return poly

@@ -33,3 +33,34 @@ def teichmuller_residue(z: CycInt, p: int, g: int) -> CycInt:
         if c:
             out[e * a_mul % p] += c * pow(g, e * b_mul % (p - 1), p)
     return CycInt(p, out)
+
+
+def _trim(c) -> tuple:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def poly_divmod(a, b) -> tuple:
+    """(quotient, remainder) of a by b over Z, as ascending coefficient
+    tuples with no zero on top (zero is ()). Every elimination step must
+    divide exactly by b's leading coefficient."""
+    rem, deg = list(a), len(b) - 1
+    quo = [0] * max(len(rem) - deg, 0)
+    for top in range(len(rem) - 1, deg - 1, -1):
+        q, r = divmod(rem[top], b[-1])
+        assert r == 0, "division not exact over Z"
+        quo[top - deg] = q
+        for i, bc in enumerate(b):
+            rem[top - deg + i] -= q * bc
+    return _trim(quo), _trim(rem)
+
+
+def poly_eval(coeffs, x):
+    """The polynomial with these ascending coefficients at x, by Horner's
+    rule; x may be an int or a CycInt."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc

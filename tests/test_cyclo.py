@@ -9,7 +9,6 @@ import pytest
 
 from ikdeg import (
     CycInt,
-    IntPoly,
     change_conductor,
     cyclotomic_poly,
     embed_all,
@@ -22,24 +21,26 @@ from ikdeg import (
 )
 from ikdeg import kernels
 from ikdeg.errors import ConductorMismatch, NonCoprimeIndex, WrongConductor
+from ikdeg.cyclo import poly_rem
 from ikdeg.ff import is_prime
+from oracles import poly_divmod, poly_eval
 
 
 def test_cyclotomic_poly_examples():
-    assert cyclotomic_poly(1).coeffs == (-1, 1)
-    assert cyclotomic_poly(6).coeffs == (1, -1, 1)
-    assert cyclotomic_poly(12).coeffs == (1, 0, -1, 0, 1)
-    assert cyclotomic_poly(8).coeffs == (1, 0, 0, 0, 1)
+    assert cyclotomic_poly(1) == (-1, 1)
+    assert cyclotomic_poly(6) == (1, -1, 1)
+    assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+    assert cyclotomic_poly(8) == (1, 0, 0, 0, 1)
 
 
 @lru_cache(maxsize=None)
 def _divided_cyclotomic(m):
     """Oracle: x^m - 1 divided exactly by Phi_d for every proper divisor d."""
-    num = IntPoly([-1] + [0] * (m - 1) + [1])
+    num = (-1,) + (0,) * (m - 1) + (1,)
     for d in range(1, m):
         if m % d == 0:
-            num, rem = divmod(num, _divided_cyclotomic(d))
-            assert rem.is_zero()
+            num, rem = poly_divmod(num, _divided_cyclotomic(d))
+            assert rem == ()
     return num
 
 
@@ -51,7 +52,7 @@ def test_cyclotomic_poly_matches_division():
 
 def test_zeta_is_root_of_cyclotomic_poly():
     for m in range(1, 201):
-        assert cyclotomic_poly(m)(CycInt.zeta(m)).is_zero()
+        assert poly_eval(cyclotomic_poly(m), CycInt.zeta(m)).is_zero()
 
 
 def test_arithmetic_examples():
@@ -85,7 +86,7 @@ def test_canonical_is_the_remainder_mod_phi(m):
     rng = random.Random(m)
     for _ in range(20):
         c = [rng.randint(-(10**30), 10**30) for _ in range(m)]
-        rem = (IntPoly(c) % cyclotomic_poly(m)).coeffs
+        rem = poly_divmod(c, cyclotomic_poly(m))[1]
         assert CycInt(m, c).canonical() == rem + (0,) * (m - len(rem))
 
 
@@ -235,12 +236,26 @@ def test_pow_and_shift():
     assert (w**3) == w * w * w
 
 
-def test_intpoly_division():
-    f = IntPoly([-1, 0, 0, 0, 0, 0, 1])  # x^6 - 1
-    q, r = divmod(f, IntPoly([-1, 1]))
-    assert r.is_zero() and q.coeffs == (1, 1, 1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        divmod(IntPoly([1, 1]), IntPoly([0, 2]))  # not exact over Z
+def test_poly_rem_of_x6_minus_1_by_x_minus_1():
+    f = (-1, 0, 0, 0, 0, 0, 1)  # x^6 - 1
+    assert poly_rem(f, (-1, 1)) == [0]
+    assert poly_divmod(f, (-1, 1)) == ((1, 1, 1, 1, 1, 1), ())
+
+
+@pytest.mark.parametrize("m", [4, 6, 9, 12, 15, 930])
+def test_poly_rem_matches_exact_division(m):
+    phi = cyclotomic_poly(m)
+    rng = random.Random(m)
+    for _ in range(5):
+        c = [rng.randint(-(10**20), 10**20) for _ in range(2 * m)]
+        rem = poly_divmod(c, phi)[1]
+        assert poly_rem(c, phi) == list(rem) + [0] * (len(phi) - 1 - len(rem)), m
+
+
+def test_poly_rem_pads_a_short_input():
+    # Phi_15 has degree 8: a shorter input is its own remainder, padded out
+    assert poly_rem([3, -1, 4], cyclotomic_poly(15)) == [3, -1, 4, 0, 0, 0, 0, 0]
+    assert poly_rem([], cyclotomic_poly(12)) == [0, 0, 0, 0]
 
 
 def test_serialization_roundtrip():

@@ -5,7 +5,6 @@ import pytest
 
 from ikdeg import (
     CycInt,
-    IntPoly,
     conjugate_set,
     degree_of,
     equivariance_check,
@@ -19,6 +18,7 @@ from ikdeg import (
 from ikdeg.errors import WrongConductor, ZeroParameter
 from ikdeg.ff import is_prime
 from ikdeg.suites import DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
+from oracles import poly_eval
 
 
 def test_conjugate_set_counts():
@@ -88,13 +88,13 @@ def test_degree_of_matches_orbit_oracle():
 
 def test_min_poly_examples():
     # minimal polynomial of zeta_5 is the 5th cyclotomic polynomial
-    assert min_poly(CycInt.zeta(5)).coeffs == (1, 1, 1, 1, 1)
+    assert min_poly(CycInt.zeta(5)) == (1, 1, 1, 1, 1)
     # zeta_3: x^2 + x + 1
-    assert min_poly(CycInt.zeta(3)).coeffs == (1, 1, 1)
+    assert min_poly(CycInt.zeta(3)) == (1, 1, 1)
     # rational integer: x - 4
-    assert min_poly(CycInt.from_int(7, 4)).coeffs == (-4, 1)
+    assert min_poly(CycInt.from_int(7, 4)) == (-4, 1)
     # golden-ratio relative: zeta_5 + zeta_5^4 satisfies x^2 + x - 1
-    assert min_poly(CycInt.zeta(5) + CycInt.zeta(5, 4)).coeffs == (-1, 1, 1)
+    assert min_poly(CycInt.zeta(5) + CycInt.zeta(5, 4)) == (-1, 1, 1)
 
 
 def test_min_poly_vanishes_and_is_minimal():
@@ -104,9 +104,9 @@ def test_min_poly_vanishes_and_is_minimal():
         CycInt(13, [5, -1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ):
         f = min_poly(z)
-        assert f(z).is_zero()
-        assert f.degree == degree_of(z)
-        assert f.is_monic()
+        assert poly_eval(f, z).is_zero()
+        assert len(f) - 1 == degree_of(z)
+        assert f[-1] == 1  # monic
 
 
 def _orbit_product(z):
@@ -122,7 +122,7 @@ def _orbit_product(z):
             nxt[i + 1] = nxt[i + 1] + a
             nxt[i] = nxt[i] - c * a
         coeffs = nxt
-    return IntPoly([a.as_int() for a in coeffs])
+    return tuple([a.as_int() for a in coeffs])
 
 
 def test_min_poly_matches_orbit_product():
@@ -160,7 +160,7 @@ def test_ik_degree_matches_gcd_formula_grid():
 def test_min_poly_of_scaled_ik():
     # frozen oracle: 20 * IK_1(5, 1) has minimal polynomial x^2 + 20x - 400
     z = scaled_ik_at_p(get_field(5), 1, 1)
-    assert min_poly(z).coeffs == (-400, 20, 1)
+    assert min_poly(z) == (-400, 20, 1)
 
 
 def test_equivariance_prime_and_extension():
