@@ -22,7 +22,6 @@ from .cyclo import (
     cyclotomic_poly,
     embed_all,
     embed_complex,
-    euler_phi,
     galois_apply,
     lower_conductor,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "cyclotomic_poly",
     "embed_all",
     "embed_complex",
-    "euler_phi",
     "galois_apply",
     "lower_conductor",
     "Field",

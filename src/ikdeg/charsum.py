@@ -2,8 +2,8 @@
 
 Two exact routes to the inverted sum are provided. The counting route
 tallies the (q-1)^n unit tuples by their sum, with a recursion on sums
-and products that uses only field addition and discrete logs: O(q) work
-for n = 1, O(n q^2) beyond, and never more than 2n (q-1)^n additions.
+and products that uses only field addition and discrete logs: at most
+count_work(q, n) additions, and a count over COUNT_LIMIT is refused.
 It is the independent witness. The Gauss-sum formula, the object under
 test, is a sum over characters of relabelled copies rho_m of one term in
 Z[zeta_{p(q-1)}]; `ik_formula_scaled` states it literally, while
@@ -24,7 +24,10 @@ from .cyclo import CycInt, _evaluate, _exponent_perms, _root_row, embed_all, map
 from .errors import BudgetExceeded, CharAtZero, OrbitMismatch, ZeroParameter
 from .ff import Field, FieldElt
 
-DEFAULT_BUDGET = 2_000_000
+# The counting route's limit on additions. It exceeds count_work at every
+# (q, n), q >= 3, whose (q-1)^n <= 2 000 000 tuples an earlier tuple budget
+# admitted: the largest is 4 001 620, at q-1 = 1414 and n = 2.
+COUNT_LIMIT = 2**22
 
 
 def additive_char(F: Field, x) -> CycInt:
@@ -65,17 +68,23 @@ def _check_ik_args(F: Field, n: int, b) -> FieldElt:
     return b
 
 
-def over_budget(q: int, n: int, budget: int) -> bool:
-    """Whether the (q-1)^n unit tuples of IK_n(q, b) exceed the budget; the
-    counting does at most 2n times that work."""
-    return (q - 1) ** n > budget
+def count_work(q: int, n: int) -> int:
+    """The additions of _brute_counts at most: each of its n+1 steps
+    spreads row s = 1 over q-1 shifts twice, and that row has no entry for
+    D_0, one for D_1 and at most q-1 after that."""
+    return 2 * (q - 1) * (1 + (n - 1) * (q - 1))
 
 
-def _enumeration_guard(F: Field, n: int, b, budget: int) -> FieldElt:
+def over_budget(q: int, n: int) -> bool:
+    """Whether counting IK_n(q, b) would take over COUNT_LIMIT additions."""
+    return count_work(q, n) > COUNT_LIMIT
+
+
+def _enumeration_guard(F: Field, n: int, b) -> FieldElt:
     """Refuse a count that is over_budget."""
     b = _check_ik_args(F, n, b)
-    if over_budget(F.q, n, budget):
-        raise BudgetExceeded(f"(q-1)^n = {(F.q - 1) ** n} exceeds budget {budget}")
+    if over_budget(F.q, n):
+        raise BudgetExceeded(f"counting takes {count_work(F.q, n)} additions, over the limit {COUNT_LIMIT}")
     return b
 
 
@@ -108,7 +117,7 @@ def _brute_counts(F: Field, n: int, b):
     all of D_k, and a step spreads each nonzero entry of row s = 1 of
     D_(k-1) over q-1 shifts through the logs of 1 - g^c. That row is empty
     for D_0 and has one entry for D_1, so n = 1 costs O(q) and the whole
-    count at most 2n (q-1)^n additions: the tuple budget bounds the work.
+    count at most count_work(q, n) additions.
     Only dlog and field addition enter: no character or cyclotomic value.
     """
     q1 = F.q - 1
@@ -129,10 +138,10 @@ def _brute_counts(F: Field, n: int, b):
     return zero_row[beta], [one_row[(beta - (n + 1) * c) % q1] for c in range(q1)]
 
 
-def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> CycInt:
+def kloosterman_brute(F: Field, n: int, b) -> CycInt:
     """K_n(q, b) at conductor p, from the counts of unit tuples by sum
     (_brute_counts)."""
-    b = _enumeration_guard(F, n, b, budget)
+    b = _enumeration_guard(F, n, b)
     zero, by_log = _brute_counts(F, n, b)
     counts = [zero] + [0] * (F.p - 1)  # Tr(0) = 0
     for c, count in enumerate(by_log):
@@ -140,12 +149,10 @@ def kloosterman_brute(F: Field, n: int, b, budget: int = DEFAULT_BUDGET) -> CycI
     return CycInt(F.p, counts)
 
 
-def inverted_kloosterman_brute(
-    F: Field, n: int, b, budget: int = DEFAULT_BUDGET
-) -> CycInt:
+def inverted_kloosterman_brute(F: Field, n: int, b) -> CycInt:
     """IK_n(q, b) at conductor p, from the counts of unit tuples by sum;
     the empty sum is 0."""
-    b = _enumeration_guard(F, n, b, budget)
+    b = _enumeration_guard(F, n, b)
     counts = [0] * F.p
     for c, count in enumerate(_brute_counts(F, n, b)[1]):
         counts[F._trace_of_power(-c)] += count  # 1/g^c = g^(-c)

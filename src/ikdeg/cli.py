@@ -11,14 +11,7 @@ from math import gcd
 from types import SimpleNamespace
 
 from . import suites
-from .charsum import (
-    DEFAULT_BUDGET,
-    galois_orbits,
-    inverted_kloosterman_brute,
-    orbit_bounds,
-    scaled_ik_at_p,
-    scaled_ik_values,
-)
+from .charsum import galois_orbits, inverted_kloosterman_brute, orbit_bounds, scaled_ik_at_p, scaled_ik_values
 from .cyclo import change_conductor, embed_all
 from .errors import BudgetExceeded, IKDegError, InvalidParameters
 from .ff import Field, get_field, is_prime
@@ -130,7 +123,7 @@ def cmd_verify(args) -> int:
     if args.suite == "all":
         ok, lines = suites.run_all()
     elif args.suite == "identity":
-        ok, lines = suites.identity_suite(args.p, args.n, args.budget)
+        ok, lines = suites.identity_suite(args.p, args.n)
     elif args.suite == "degree":
         if args.p is not None and not is_prime(args.p):
             raise InvalidParameters(f"{args.p} is not prime")
@@ -199,7 +192,7 @@ def cmd_sum(args) -> int:
     q = F.q
     value, scale, code = None, 1, 0  # value is scale * IK, at conductor p
     if args.path in ("brute", "both"):
-        value = inverted_kloosterman_brute(F, n, b, args.budget)
+        value = inverted_kloosterman_brute(F, n, b)
         print(f"brute IK_{n}({q}, {b.serialize()}) = {_value_json(value)}")
     if args.path in ("formula", "both"):
         z_p = scaled_ik_at_p(F, n, b)
@@ -229,19 +222,19 @@ def cmd_sum(args) -> int:
 # "verify <suite>") and the options it reads. A pair joined by "|" excludes
 # each other; the order of the words is the order of the choices in errors.
 COMMANDS = {
-    "verify identity": "--p --n --budget",
+    "verify identity": "--p --n",
     "verify degree": "--p|--p-max --n|--n-max",  # --p and --n are maxima
     "verify stickelberger": "--p|--p-max",
     "verify cases": "",
     "verify bounds": "",
     "verify all": "",
     "census": "--p --p-max --k --n --n-max --format --out",
-    "sum": "--p --k --n --b --budget --path",
+    "sum": "--p --k --n --b --path",
 }
 # An option's value: one of its choices, any text, or else an integer.
 CHOICES = {"--format": ("csv", "json", "table"), "--path": ("brute", "formula", "both")}
 TEXT = ("--b", "--out")
-DEFAULTS = {"--budget": DEFAULT_BUDGET, "--format": "csv", "--path": "formula"}
+DEFAULTS = {"--format": "csv", "--path": "formula"}
 HELP = ("-h", "--help")
 
 

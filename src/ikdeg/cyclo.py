@@ -20,17 +20,19 @@ from .errors import ConductorMismatch, NonCoprimeIndex, WrongConductor
 
 def poly_rem(c, f) -> list:
     """c mod f over Z for a monic f, as exactly len(f) - 1 ascending
-    coefficients (c may be shorter). Only f's nonzero lower terms touch
-    the remainder (Phi_930 has 73 of 241)."""
+    coefficients (a shorter c, such as every product in F_p[t]/(t), is its
+    own remainder). Only f's nonzero lower terms touch the remainder
+    (Phi_930 has 73 of 241)."""
     deg = len(f) - 1
     rem = list(c) + [0] * (deg - len(c))
-    terms = [(i - deg, fc) for i, fc in enumerate(f[:deg]) if fc]
-    for top in range(len(rem) - 1, deg - 1, -1):
-        q = rem[top]
-        if q:
-            for i, fc in terms:
-                rem[top + i] -= q * fc
-    del rem[deg:]
+    if len(rem) > deg:
+        terms = [(i - deg, fc) for i, fc in enumerate(f[:deg]) if fc]
+        for top in range(len(rem) - 1, deg - 1, -1):
+            q = rem[top]
+            if q:
+                for i, fc in terms:
+                    rem[top + i] -= q * fc
+        del rem[deg:]
     return rem
 
 
@@ -97,10 +99,6 @@ def cyclotomic_poly(m: int) -> tuple:
     return tuple(out)
 
 
-def euler_phi(m: int) -> int:
-    return len(cyclotomic_poly(m)) - 1
-
-
 class CycInt:
     """An exact element of Z[zeta_m] in the group-ring representation."""
 
@@ -165,14 +163,6 @@ class CycInt:
 
     def is_zero(self):
         return all(c == 0 for c in self.canonical())
-
-    def is_rational(self):
-        return all(c == 0 for c in self.canonical()[1:])
-
-    def as_int(self):
-        if not self.is_rational():
-            raise ValueError("not a rational integer")
-        return self.canonical()[0]
 
     # -- ring operations -------------------------------------------------
 
@@ -253,10 +243,6 @@ class CycInt:
     def to_dict(self):
         return {"m": self.m, "coeffs": list(self.canonical())}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["m"], d["coeffs"])
-
 
 def map_exponents(z: CycInt, k: int, big_m: int) -> CycInt:
     """The group-ring map zeta_m -> zeta_M^k: coefficient e moves to k*e mod M.
@@ -315,30 +301,13 @@ def lower_conductor(z: CycInt, d: int) -> CycInt:
     for e, c in enumerate(z.coeffs):
         if c:
             rows[(e * a_mul) % d][(e * b_mul) % r] += c
-    phi_r = cyclotomic_poly(r)
-    deg_r = len(phi_r) - 1
-    inner = [poly_rem(row, phi_r) for row in rows]
-    # reduce in the zeta_d variable; Phi_d is monic with integer
-    # coefficients, so synthetic division works on vector coefficients
-    phi_d = cyclotomic_poly(d)
-    deg_d = len(phi_d) - 1
-    for top in range(d - 1, deg_d - 1, -1):
-        lead = inner[top]
-        if any(lead):
-            for i in range(deg_d):
-                tgt = inner[top - deg_d + i]
-                pc = phi_d[i]
-                if pc:
-                    for j in range(deg_r):
-                        tgt[j] -= pc * lead[j]
-            inner[top] = [0] * deg_r
-    out = [0] * d
-    for alpha in range(deg_d):
-        vec = inner[alpha]
-        if any(vec[1:]):
-            raise WrongConductor(f"element is not in Z[zeta_{d}]")
-        out[alpha] = vec[0]
-    return CycInt(d, out)
+    # reduce in zeta_r, then each column, a polynomial in zeta_d, mod Phi_d:
+    # column beta is the coefficient of zeta_r^beta
+    rows = [poly_rem(row, cyclotomic_poly(r)) for row in rows]
+    cols = [poly_rem(col, cyclotomic_poly(d)) for col in zip(*rows)]
+    if any(map(any, cols[1:])):
+        raise WrongConductor(f"element is not in Z[zeta_{d}]")
+    return CycInt(d, cols[0])
 
 
 @lru_cache(maxsize=None)

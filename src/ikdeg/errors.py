@@ -30,7 +30,7 @@ class CharAtZero(IKDegError):
 
 
 class BudgetExceeded(IKDegError):
-    """The (q-1)^n unit tuples of the counting route exceed the tuple budget."""
+    """The counting route would make more additions than its limit (charsum.COUNT_LIMIT)."""
 
 
 class ZeroParameter(IKDegError):

@@ -11,7 +11,7 @@ import operator
 from functools import cached_property, lru_cache
 from itertools import chain
 
-from .cyclo import power, prime_factors
+from .cyclo import poly_rem, power, prime_factors
 from .errors import FieldMismatch, InvalidParameters, InversionOfZero, LogOfZero
 
 
@@ -44,21 +44,13 @@ def _pmulmod(a, b, mod, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] += ai * bj
     return _pmod(out, mod, p)
 
 
 def _pmod(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    for top in range(len(a) - 1, dm - 1, -1):
-        c = a[top]
-        if c:
-            f = (c * inv_lead) % p
-            for i, mc in enumerate(mod):
-                a[top - dm + i] = (a[top - dm + i] - f * mc) % p
-    return _ptrim(a[:dm])
+    """a mod the monic mod, over F_p."""
+    return _ptrim([c % p for c in poly_rem(a, mod)])
 
 
 def _ppowmod(a, e, mod, p):
@@ -68,7 +60,8 @@ def _ppowmod(a, e, mod, p):
 def _pgcd(a, b, p):
     a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        a, b = b, _pmod(a, b, p)
+        inv = pow(b[-1], -1, p)  # _pmod divides by a monic polynomial
+        a, b = b, _pmod(a, [c * inv % p for c in b], p)
     return a
 
 
@@ -240,10 +233,6 @@ class Field:
     @property
     def one(self):
         return self.elt(1)
-
-    def elements(self):
-        """All elements in canonical (integer-encoding) order."""
-        return (self.from_encoding(i) for i in range(self.q))
 
     def units(self):
         """All nonzero elements in canonical order."""

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .charsum import (
-    DEFAULT_BUDGET, inverted_kloosterman_brute, orbit_bounds, over_budget, scaled_ik_values,
-)
+from .charsum import COUNT_LIMIT, inverted_kloosterman_brute, orbit_bounds, over_budget, scaled_ik_values
 from .errors import BudgetExceeded, InvalidParameters
 from .ff import get_field, is_prime
 from .galois import degree_of
@@ -33,27 +31,28 @@ def _primes_upto(n):
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 
-def identity_suite(p=None, n=None, budget=DEFAULT_BUDGET):
-    """Oracle equivalence: q(q-1) * brute == formula, exact, in Z[zeta_p]."""
+def identity_suite(p=None, n=None):
+    """Oracle equivalence: q(q-1) * brute == formula, exact, in Z[zeta_p];
+    a case whose count is over_budget is skipped."""
     primes = list(IDENTITY_PRIMES) if p is None else [p]
     ns = list(IDENTITY_NS) if n is None else [n]
     for pp in primes:
         if not is_prime(pp):
             raise InvalidParameters(f"{pp} is not prime")
-    if all(over_budget(pp, nn, budget) for pp in primes for nn in ns):
-        raise BudgetExceeded(f"budget {budget} skips every identity case")
+    if all(over_budget(pp, nn) for pp in primes for nn in ns):
+        raise BudgetExceeded(f"the count limit {COUNT_LIMIT} skips every identity case")
     lines = []
     ok = True
     for pp in primes:
         F = get_field(pp)
         for nn in ns:
-            if over_budget(pp, nn, budget):
+            if over_budget(pp, nn):
                 lines.append(f"identity p={pp} n={nn}: skipped (budget)")
                 continue
             values = scaled_ik_values(F, nn)
             bad = []
             for b in F.units():
-                brute = inverted_kloosterman_brute(F, nn, b, budget)
+                brute = inverted_kloosterman_brute(F, nn, b)
                 if pp * (pp - 1) * brute != values[F.dlog(b)]:
                     bad.append(b.serialize())
             if bad:

@@ -27,7 +27,8 @@ from ikdeg import (
     scaled_ik_at_p,
 )
 from ikdeg.charsum import (
-    _character_terms, _relabel, galois_orbits, orbit_bounds, scaled_ik_values,
+    COUNT_LIMIT, _brute_counts, _character_terms, _relabel, count_work, galois_orbits, orbit_bounds,
+    over_budget, scaled_ik_values,
 )
 from ikdeg.errors import BudgetExceeded, CharAtZero, ZeroParameter
 from ikdeg.ff import is_prime
@@ -187,10 +188,50 @@ def test_s1_identity():
             assert s1_identity_check(F, n)
 
 
+def test_count_work_bounds_the_additions(monkeypatch):
+    # every addition of _brute_counts is one shift of one nonzero entry in _add_rotations
+    spread = charsum._add_rotations
+    additions = []
+
+    def counted(acc, row, shifts):
+        shifts = list(shifts)
+        additions.append(sum(1 for r in row if r) * len(shifts))
+        return spread(acc, row, shifts)
+
+    monkeypatch.setattr(charsum, "_add_rotations", counted)
+    fields = [(p, 1) for p in range(2, 32) if is_prime(p)]
+    fields += [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]  # q = 4, 8, 9, 16, 25, 27
+    for p, k in fields:
+        F = get_field(p, k)
+        for n in range(1, 7):
+            additions.clear()
+            _brute_counts(F, n, F.one)
+            assert sum(additions) <= count_work(F.q, n), (F.q, n)
+            if n == 1:  # one entry, over the q-1 shifts from s = 0 and the q-2 from s = 1
+                assert sum(additions) == count_work(F.q, n) - 1 == 2 * F.q - 3
+
+
+@pytest.mark.parametrize("m,n", [(2_000_000, 1), (1414, 2), (125, 3), (2, 20)])
+def test_over_budget_admits_every_count_of_the_old_tuple_budget(m, n):
+    # (m, n) is the largest m, and (m+1, n) the largest q, with m^n <= 2 000 000
+    assert m**n <= 2_000_000 < (m + 1) ** n
+    assert not over_budget(m + 1, n)
+
+
+def test_count_limit_edges():
+    assert count_work(1415, 2) == 4_001_620 < COUNT_LIMIT
+    assert over_budget(2003, 2)
+    # at q = 2 the work is 2n
+    assert not over_budget(2, 2**21) and over_budget(2, 2**21 + 1)
+
+
 def test_budget_and_zero_guards():
     F = get_field(13)
+    F2003 = get_field(2003)
+    with pytest.raises(BudgetExceeded, match="^counting takes 8020012 additions, over the limit 4194304$"):
+        inverted_kloosterman_brute(F2003, 2, F2003.one)
     with pytest.raises(BudgetExceeded):
-        inverted_kloosterman_brute(F, 6, F.one, budget=1000)
+        kloosterman_brute(F2003, 2, F2003.one)
     with pytest.raises(ZeroParameter):
         ik_formula_scaled(F, 1, F.zero)
     with pytest.raises(ZeroParameter):

@@ -38,14 +38,17 @@ def test_verify_identity_single(capsys):
 
 
 def test_verify_identity_budget_skipping_everything_exits_2(capsys):
-    code, out, err = run_cli(capsys, "verify", "identity", "--budget", "0")
+    # counting at q = 2003, n = 2 takes 8 020 012 additions
+    code, out, err = run_cli(capsys, "verify", "identity", "--p", "2003", "--n", "2")
     assert code == 2
     assert out == ""
-    assert err == "error: budget 0 skips every identity case\n"
+    assert err == "error: the count limit 4194304 skips every identity case\n"
 
 
-def test_verify_identity_partial_budget_skip(capsys):
-    code, out, _ = run_cli(capsys, "verify", "identity", "--p", "13", "--budget", "100")
+def test_verify_identity_partial_budget_skip(capsys, monkeypatch):
+    # the work at p = 13 is 24, 312 and 600 additions for n = 1, 2, 3
+    monkeypatch.setattr(charsum, "COUNT_LIMIT", 100)
+    code, out, _ = run_cli(capsys, "verify", "identity", "--p", "13")
     assert code == 0
     assert out.splitlines() == [
         "identity p=13 n=1: ok (12 values of b)",
@@ -368,12 +371,17 @@ def test_sum_zero_b(capsys):
 
 
 def test_sum_budget_exceeded(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "sum", "--p", "13", "--n", "6", "--b", "1", "--path", "brute", "--budget", "100",
-    )
-    assert code == 2
-    assert "budget" in err
+    code, out, err = run_cli(capsys, "sum", "--p", "2003", "--n", "2", "--b", "1", "--path", "brute")
+    assert (code, out) == (2, "")
+    assert err == "error: counting takes 8020012 additions, over the limit 4194304\n"
+
+
+def test_sum_counts_what_the_tuple_budget_refused(capsys):
+    # (q-1)^n = 24 300 000 tuples, but count_work(31, 5) = 7 260 additions
+    code, out, err = run_cli(capsys, "sum", "--p", "31", "--n", "5", "--b", "1", "--path", "both")
+    assert (code, err) == (0, "")
+    assert "paths agree: True" in out.splitlines()
+    assert "degree(IK) = 5" in out.splitlines()
 
 
 def test_census_csv(capsys):
@@ -562,15 +570,16 @@ def test_value_and_maximum_together_exits_2(capsys, argv, pair):
 # rejected at parse time.
 READS = {
     ("census",): ("--p", "--p-max", "--k", "--n", "--n-max", "--format", "--out"),
-    ("sum",): ("--p", "--k", "--n", "--b", "--budget", "--path"),
-    ("verify", "identity"): ("--p", "--n", "--budget"),
+    ("sum",): ("--p", "--k", "--n", "--b", "--path"),
+    ("verify", "identity"): ("--p", "--n"),
     ("verify", "degree"): ("--p", "--p-max", "--n", "--n-max"),
     ("verify", "stickelberger"): ("--p", "--p-max"),
     ("verify", "cases"): (),
     ("verify", "bounds"): (),
     ("verify", "all"): (),
 }
-# A well-formed value for every option any command ever took.
+# A well-formed value for every option any command ever took, so that a
+# removed option (--precision, --budget) stays rejected.
 VALUES = {
     "--p": "5", "--p-max": "7", "--k": "1", "--n": "1", "--n-max": "2", "--b": "1",
     "--budget": "100", "--precision": "40", "--format": "csv", "--out": "x.csv",
@@ -614,7 +623,7 @@ def test_unread_option_exits_2(command, flag):
 def test_each_command_accepts_exactly_what_it_reads():
     for command, reads in READS.items():
         assert {f for f in VALUES if accepts(command, f)} == set(reads), command
-    assert sum(map(len, READS.values())) == 22
+    assert sum(map(len, READS.values())) == 20
 
 
 def test_unknown_command_names_every_command():
@@ -633,7 +642,7 @@ def test_unknown_command_names_every_command():
         ("sum --p 3 --n 1 --b 1 --p 5 --path brute --path both", {"p": 5, "path": "both"}),
         ("verify degree --p-max 7 --p-max 11", {"p_max": 11, "p": None}),
         ("census --p 3", {"format": "csv", "out": None, "n": None}),
-        ("verify identity", {"budget": charsum.DEFAULT_BUDGET}),
+        ("verify identity", {"p": None, "n": None}),
     ],
 )
 def test_parser_reads_what_argparse_read(argv, want):

@@ -64,12 +64,12 @@ def test_trace_examples():
 
 def test_trace_linearity_and_frobenius():
     F = get_field(2, 3)
-    for x in F.elements():
-        for y in F.elements():
+    for x in [F.zero, *F.units()]:
+        for y in [F.zero, *F.units()]:
             assert F.trace(x + y) == (F.trace(x) + F.trace(y)) % F.p
         assert F.trace(x**F.p if not x.is_zero() else x) == F.trace(x)
     F9 = get_field(3, 2)
-    for x in F9.elements():
+    for x in [F9.zero, *F9.units()]:
         for c in range(3):
             assert F9.trace(F9.elt(c) * x) == (c * F9.trace(x)) % 3
 
@@ -79,7 +79,7 @@ def test_trace_equals_frobenius_sum():
     # q = 4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125
     for p, k in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6), (3, 4), (5, 3)):
         F = get_field(p, k)
-        for x in F.elements():
+        for x in [F.zero, *F.units()]:
             acc, t = x, x
             for _ in range(k - 1):
                 t = t**p
@@ -100,7 +100,7 @@ def test_trace_table_needs_k_squared_frobenius_powers():
         return pow_raw(a, e)
 
     F._pow_raw = counted
-    table = {x.coeffs: F.trace(x) for x in F.elements()}
+    table = {x.coeffs: F.trace(x) for x in [F.zero, *F.units()]}
     assert len(table) == 4096
     assert len(calls) <= 12**2
     assert sum(table.values()) == 2048  # Tr is onto F_2, so half the elements have trace 1
