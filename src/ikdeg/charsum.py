@@ -16,8 +16,6 @@ Identities involving 1/(q(q-1)) are kept in scaled form so that
 everything stays inside a ring with decidable equality.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from .cyclo import CycInt, _evaluate, _exponent_perms, _root_row, embed_all, map_exponents

@@ -3,8 +3,6 @@
 Exit codes: 0 full pass, 1 any verification failure, 2 invalid parameters.
 """
 
-from __future__ import annotations
-
 import gc
 import sys
 from math import gcd

@@ -6,13 +6,10 @@ Multiplication is plain cyclic convolution; reduction modulo the m-th
 cyclotomic polynomial happens lazily, on equality tests and output.
 """
 
-from __future__ import annotations
-
-import cmath
 import operator
 import sys
 from functools import lru_cache, reduce
-from math import gcd
+from math import cos, gcd, pi, sin
 
 from . import kernels
 from .errors import ConductorMismatch, NonCoprimeIndex, WrongConductor
@@ -312,8 +309,9 @@ def lower_conductor(z: CycInt, d: int) -> CycInt:
 
 @lru_cache(maxsize=None)
 def _complex_roots(m: int) -> tuple:
-    """e^(2*pi*i*e/m) for e = 0 .. m-1."""
-    return tuple(cmath.exp(2j * cmath.pi * e / m) for e in range(m))
+    """e^(2*pi*i*e/m) for e = 0 .. m-1. cmath.exp(2j*pi*e/m) takes exactly
+    these cos and sin, as its argument has real part 0."""
+    return tuple(complex(cos(x), sin(x)) for x in (2 * pi * e / m for e in range(m)))
 
 
 def _root_row(m: int, j: int) -> tuple:

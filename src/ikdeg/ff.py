@@ -1,11 +1,14 @@
 """Finite fields F_q (q = p^k) with trace, generator, and discrete logs.
 
-Elements carry their coordinates in the power basis of the modulus root.
-The discrete-log table is built once at construction, so downstream
-character evaluations are O(1) lookups. Designed for desk-scale q.
+The modulus is the first monic irreducible of degree k in encoding order,
+found by trial division by the monic polynomials of degree at most k/2.
+Elements carry their coordinates in the power basis of its root alpha.
+The generator is the first unit in encoding order whose (q-1)/l-th powers,
+taken with cyclo.power, all differ from 1. The discrete-log table is built
+once at construction, so downstream character evaluations are O(1)
+lookups. Traces are F_p-linear and read off the Tr(alpha^i), which
+Newton's identities give from the modulus. Designed for desk-scale q.
 """
-
-from __future__ import annotations
 
 import operator
 from functools import cached_property, lru_cache
@@ -16,18 +19,7 @@ from .errors import FieldMismatch, InvalidParameters, InversionOfZero, LogOfZero
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(n) == [n]
 
 
 # -- polynomial helpers over F_p (coefficient lists, ascending) ----------
@@ -53,57 +45,26 @@ def _pmod(a, mod, p):
     return _ptrim([c % p for c in poly_rem(a, mod)])
 
 
-def _ppowmod(a, e, mod, p):
-    return power(_pmod(a, mod, p), e, [1], lambda x, y: _pmulmod(x, y, mod, p))
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)  # _pmod divides by a monic polynomial
-        a, b = b, _pmod(a, [c * inv % p for c in b], p)
-    return a
-
-
-def _is_irreducible(coeffs, p):
-    """Irreducibility of a degree-k polynomial over F_p."""
-    k = len(coeffs) - 1
-    if k < 1:
-        return False
-    x = [0, 1]
-    # x^(p^k) == x mod f
-    t = x
-    for _ in range(k):
-        t = _ppowmod(t, p, coeffs, p)
-    if _ptrim(list(t)) != [0, 1]:
-        return False
-    for ell in prime_factors(k):
-        t = x
-        for _ in range(k // ell):
-            t = _ppowmod(t, p, coeffs, p)
-        diff = list(t) + [0] * max(0, 2 - len(t))
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(diff, coeffs, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+def _digits(code: int, p: int, d: int) -> list:
+    """The d base-p digits of code, least significant first: the encoding
+    of coordinates and of lower coefficients."""
+    out = []
+    for _ in range(d):
+        code, c = divmod(code, p)
+        out.append(c)
+    return out
 
 
 def default_modulus(p: int, k: int) -> tuple:
     """Smallest monic irreducible of degree k mod p, by integer encoding
-    of the lower coefficients (most-significant coordinate last), as its
-    ascending coefficients."""
-    if k == 1:
-        return (0, 1)
+    of the lower coefficients, as its ascending coefficients. A reducible
+    f has a monic factor of degree at most k/2, so trial division by those
+    decides."""
+    factors = [_digits(c, p, d) + [1] for d in range(1, k // 2 + 1) for c in range(p**d)]
     for code in range(p**k):
-        lower = []
-        c = code
-        for _ in range(k):
-            lower.append(c % p)
-            c //= p
-        coeffs = lower + [1]
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+        f = _digits(code, p, k) + [1]
+        if all(_pmod(f, g, p) for g in factors):
+            return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -220,11 +181,7 @@ class Field:
         return FieldElt(self, coeffs)
 
     def from_encoding(self, code: int) -> FieldElt:
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return FieldElt(self, coeffs)
+        return FieldElt(self, _digits(code, self.p, self.k))
 
     @property
     def zero(self):
@@ -246,16 +203,13 @@ class Field:
     def _mul_raw(self, a, b):
         return self._pad(_pmulmod(a, b, self.modulus, self.p))
 
-    def _pow_raw(self, a, e):
-        return self._pad(_ppowmod(a, e, self.modulus, self.p))
-
     def _find_generator(self) -> FieldElt:
         one = tuple([1] + [0] * (self.k - 1))
         order = self.q - 1
         factors = prime_factors(order)
         for code in range(1, self.q):
             cand = self.from_encoding(code).coeffs
-            if all(self._pow_raw(cand, order // ell) != one for ell in factors):
+            if all(power(cand, order // ell, one, self._mul_raw) != one for ell in factors):
                 return FieldElt(self, cand)
         raise AssertionError("no generator found")  # unreachable
 
@@ -302,20 +256,17 @@ class Field:
             raise LogOfZero("discrete log of zero")
         return self.dlog_table[x.coeffs]
 
-    def _frobenius_trace(self, coeffs) -> int:
-        """x + x^p + ... + x^(p^(k-1)), as a residue mod p."""
-        acc = list(coeffs)
-        t = coeffs
-        for _ in range(self.k - 1):
-            t = self._pow_raw(t, self.p)
-            acc = [(a + c) % self.p for a, c in zip(acc, t)]
-        assert all(c == 0 for c in acc[1:]), "trace not in prime field"
-        return acc[0]
-
     @cached_property
     def _basis_traces(self):
-        """Tr(alpha^i) for i < k, alpha the root of the modulus."""
-        return [self._frobenius_trace([int(i == j) for j in range(self.k)]) for i in range(self.k)]
+        """Tr(alpha^i) for i < k, alpha the root of the modulus
+        x^k + c_(k-1) x^(k-1) + ... + c_0: the power sums s_i of its roots,
+        by Newton's identities s_0 = k and
+        s_i = -(i c_(k-i) + sum over 0 < j < i of c_(k-j) s_(i-j))."""
+        p, k, c = self.p, self.k, self.modulus
+        s = [k % p]
+        for i in range(1, k):
+            s.append(-(i * c[k - i] + sum(c[k - j] * s[i - j] for j in range(1, i))) % p)
+        return s
 
     def trace(self, x: FieldElt) -> int:
         """Tr(x) as a residue mod p. The trace is F_p-linear, so it is read

@@ -5,8 +5,6 @@ the size of its conjugate orbit, (p-1) over the order of its stabiliser;
 no factorization is needed.
 """
 
-from __future__ import annotations
-
 from .charsum import _check_ik_args, scaled_ik_at_p
 from .cyclo import CycInt, _exponent_perms, galois_apply
 from .errors import NonIntegerCoefficients, WrongConductor, ZeroParameter

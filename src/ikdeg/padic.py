@@ -19,8 +19,6 @@ Teichmuller lifts and the p-adic zeta_p pinned by zeta - 1 = pi mod pi^2
 live here too.
 """
 
-from __future__ import annotations
-
 import operator
 from collections import namedtuple
 from functools import lru_cache

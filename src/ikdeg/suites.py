@@ -4,8 +4,6 @@ Each suite returns (ok, lines); failures carry full reproduction
 parameters.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from .charsum import COUNT_LIMIT, inverted_kloosterman_brute, orbit_bounds, over_budget, scaled_ik_values

@@ -4,7 +4,8 @@ Imported by the test modules (pytest puts this directory on sys.path).
 """
 
 from ikdeg.charsum import _brute_counts
-from ikdeg.cyclo import CycInt
+from ikdeg.cyclo import CycInt, power, prime_factors
+from ikdeg.ff import _pmod, _pmulmod, _ptrim
 from ikdeg.padic import _exponent_split
 
 
@@ -64,3 +65,29 @@ def poly_eval(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _pgcd(a, b, p):
+    """A gcd of a and b in F_p[t], up to a unit."""
+    a, b = _ptrim(list(a)), _ptrim(list(b))
+    while b:
+        inv = pow(b[-1], -1, p)  # _pmod divides by a monic polynomial
+        a, b = b, _pmod(a, [c * inv % p for c in b], p)
+    return a
+
+
+def is_irreducible(f, p: int) -> bool:
+    """Rabin's test for a monic f of degree k >= 1 over F_p: f divides
+    x^(p^k) - x, and x^(p^(k/l)) - x is prime to f for each prime l | k."""
+    k = len(f) - 1
+
+    def frobenius_minus_x(m):  # x^(p^m) - x mod f
+        t = [0, 1]
+        for _ in range(m):
+            t = power(_pmod(t, f, p), p, [1], lambda a, b: _pmulmod(a, b, f, p))
+        t = t + [0] * (2 - len(t))
+        return _pmod([t[0], t[1] - 1] + t[2:], f, p)
+
+    if frobenius_minus_x(k):
+        return False
+    return all(len(_pgcd(frobenius_minus_x(k // ell), f, p)) == 1 for ell in prime_factors(k))

@@ -110,7 +110,7 @@ def test_installed_command_goes_through_run():
     assert re.search(r'^ikdeg = "ikdeg\.cli:run"$', text, flags=re.M)
 
 
-SKIPPED_MODULES = ("argparse", "gettext", "locale", "json", "dataclasses")
+SKIPPED_MODULES = ("argparse", "gettext", "locale", "json", "dataclasses", "__future__", "cmath")
 
 
 def test_cli_import_leaves_out_dataclasses():

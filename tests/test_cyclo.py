@@ -20,7 +20,7 @@ from ikdeg import (
 )
 from ikdeg import kernels
 from ikdeg.errors import ConductorMismatch, NonCoprimeIndex, WrongConductor
-from ikdeg.cyclo import poly_rem
+from ikdeg.cyclo import _complex_roots, poly_rem
 from ikdeg.ff import is_prime
 from oracles import poly_divmod, poly_eval
 
@@ -142,6 +142,17 @@ def test_embed_complex_matches_per_coefficient_exp():
 def _bits(v: complex) -> bytes:
     # bit for bit: tells -0.0 from 0.0, which == does not
     return struct.pack("<dd", v.real, v.imag)
+
+
+@pytest.mark.parametrize("ms", [range(1, 201), (930, 10_100, 44_310, 160_400)], ids=["m<=200", "conductors"])
+def test_complex_roots_are_cmath_exp_bit_for_bit(ms):
+    # cos and sin in place of cmath.exp: the argument 2j*pi*e/m has real
+    # part 0, so exp takes exactly these; the table is built uncached here
+    for m in ms:
+        roots = _complex_roots.__wrapped__(m)
+        assert len(roots) == m
+        for e, root in enumerate(roots):
+            assert _bits(root) == _bits(cmath.exp(2j * cmath.pi * e / m)), (m, e)
 
 
 def _assert_embed_all_is_embed_complex(z):

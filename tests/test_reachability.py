@@ -134,7 +134,6 @@ UNREACHED = {
         ),
         DUNDER,
     ),
-    "ff.Field._mul_raw": "called by ff.FieldElt.__mul__",
     "ff.Field.one": "called by ff.FieldElt.__pow__",
     "ff.Field.trace": "called by charsum.additive_char, charsum.s1_identity_check",
     "ff.FieldElt._check": "called by ff.FieldElt.__add__, ff.FieldElt.__sub__, ff.FieldElt.__mul__",
