@@ -14,7 +14,7 @@ from .cyclo import change_conductor, embed_all
 from .errors import BudgetExceeded, IKDegError, InvalidParameters
 from .ff import Field, get_field, is_prime
 from .galois import degree_of, min_poly
-from .padic import case_report, exact_valuation
+from .padic import case_analysis
 
 
 CSV_FIELDS = [
@@ -46,21 +46,21 @@ def _fmt_cell(v):
     return str(v)
 
 
-def census_record(F: Field, n: int, j: int, degree: int, observed, bounds: tuple) -> tuple:
+def census_record(F: Field, n: int, j: int, degree: int, report, bounds: tuple) -> tuple:
     """The census row of b = g^j, in CSV_FIELDS order.
 
-    degree and, over F_p, observed (the valuation of z_j - z_(j-n-1), the
-    case analysis's difference with a = g) are exact invariants of the
-    Galois orbit of z_j = scaled_ik_at_p(F, n, b); bounds is its own
-    bounds_check reading (orbit_bounds).
+    degree and, over F_p, report (the case_analysis of the orbit's
+    representative g^r with a = g; None over F_q, q > p) are exact
+    invariants of the Galois orbit of z_j = scaled_ik_at_p(F, n, b): the
+    report's label, predicted and observed valuation are those of b's own
+    case_analysis. bounds is b's own bounds_check reading (orbit_bounds).
     """
     p = F.p
     b = F.pow_of_generator(j)
     bound = (p - 1) // gcd(n + 1, p - 1)
     case_label, pred, obs = "", None, None
-    if F.k == 1:
-        rep = case_report(p, n, b.coeffs[0], F.generator.coeffs[0], observed)
-        case_label, pred, obs = rep.case_label, rep.predicted_valuation, rep.observed_valuation
+    if report is not None:
+        case_label, pred, obs = report.case_label, report.predicted_valuation, report.observed_valuation
     return (
         p, F.k, F.q, n, b.serialize(), degree, bound,
         (degree == bound) if F.k == 1 else "n/a",  # degree_matches
@@ -161,15 +161,14 @@ def cmd_census(args) -> int:
             # invariant is read once per orbit, on its representative
             values = scaled_ik_values(F, n)
             bounds = orbit_bounds(F, n, values)
-            _, step, orbits = galois_orbits(F, n)
+            orbits = galois_orbits(F, n)[2]
             degrees = [degree_of(values[r]) for r in range(orbits)]
-            observed = [None] * orbits
-            if F.k == 1:  # sigma_g(z_r) = z_(r - step), step = n+1
-                observed = [
-                    exact_valuation(values[r] - values[(r - step) % q1]) for r in range(orbits)
-                ]
+            reports = [None] * orbits
+            if F.k == 1:
+                g = F.generator.coeffs[0]
+                reports = [case_analysis(F.p, n, pow(g, r, F.p), g) for r in range(orbits)]
             records += [
-                census_record(F, n, j, degrees[j % orbits], observed[j % orbits], bounds[j])
+                census_record(F, n, j, degrees[j % orbits], reports[j % orbits], bounds[j])
                 for j in range(q1)
             ]
     _emit(records, args.format, args.out)

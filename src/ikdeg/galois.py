@@ -6,7 +6,7 @@ no factorization is needed.
 """
 
 from .charsum import _check_ik_args, scaled_ik_at_p
-from .cyclo import CycInt, _exponent_perms, galois_apply
+from .cyclo import CycInt, galois_apply
 from .errors import NonIntegerCoefficients, WrongConductor, ZeroParameter
 from .ff import Field, is_prime
 
@@ -31,15 +31,13 @@ def degree_of(z: CycInt) -> int:
     sigma_a moves coefficient e to a*e mod p but fixes index 0, so
     sigma_a(z) = z iff c_(a*e mod p) = c_e for every e. The degree is
     (p-1) over the number of such a. Each a with c_a = c_1 (the case
-    e = 1) is tested by comparing the permuted coefficient tuple with c,
-    one C-level pass with the permutations cached per p; no conjugate is
-    built or reduced.
+    e = 1) is tested e by e, stopping at the first mismatch; no conjugate
+    is built or reduced.
     """
     p = _require_prime_conductor(z)
     c = z.coeffs
-    perms = _exponent_perms(p)
     fixing = sum(
-        tuple(map(c.__getitem__, perms[a])) == c for a in range(1, p) if c[a] == c[1]
+        all(c[a * e % p] == x for e, x in enumerate(c)) for a in range(1, p) if c[a] == c[1]
     )
     return (p - 1) // fixing
 

@@ -384,11 +384,25 @@ def _case_class(p: int, n: int, a: int):
     return label, h, k, m_star, predicted, 2 * (p - 1) == n + 1
 
 
-def case_report(p: int, n: int, b: int, a: int, observed: int | None) -> CaseReport:
-    """The CaseReport of case_analysis(p, n, b, a) whose conjugate
-    difference has valuation observed (None for zero); b and a are units
-    in 1 .. p-1. A zero difference in Case I, II or III raises
-    VanishingDifference."""
+def case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:
+    """Predicted vs observed main-term valuation of the scaled conjugate
+    difference p(p-1) * (IK_n(b) - IK_n(b a^-(n+1))): the one case
+    reading, which verify cases and the census call.
+
+    The observed valuation is read exactly in Z[zeta_p] (exact_valuation);
+    the other fields depend only on (p, n, a) (_case_class). A difference
+    that is zero in Case I, II or III raises VanishingDifference.
+    """
+    F = get_field(p)  # InvalidParameters unless p is prime
+    if n < 1:
+        raise DegenerateParameters("dimension n must be >= 1")
+    b %= p
+    a %= p
+    if b == 0 or a == 0:
+        raise ZeroParameter("b and a must be units of F_p")
+
+    b2 = (b * pow(a, -(n + 1), p)) % p
+    observed = exact_valuation(scaled_ik_at_p(F, n, b) - scaled_ik_at_p(F, n, b2))
     label, h, k, m_star, predicted, boundary = _case_class(p, n, a)
     if predicted is None:  # trivial or stabilized: the difference must vanish
         return CaseReport(p, n, b, a, label, h, k, m_star, None, None, False, observed is None)
@@ -399,29 +413,6 @@ def case_report(p: int, n: int, b: int, a: int, observed: int | None) -> CaseRep
     return CaseReport(
         p, n, b, a, label, h, k, m_star, predicted, observed, boundary, observed == predicted
     )
-
-
-def case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:
-    """Predicted vs observed main-term valuation of the scaled conjugate
-    difference p(p-1) * (IK_n(b) - IK_n(b a^-(n+1))).
-
-    The observed valuation is read exactly in Z[zeta_p] (exact_valuation).
-    A difference that is zero in Case I, II or III raises
-    VanishingDifference.
-    """
-    if not is_prime(p):
-        raise InvalidParameters(f"{p} is not prime")
-    if n < 1:
-        raise DegenerateParameters("dimension n must be >= 1")
-    b %= p
-    a %= p
-    if b == 0 or a == 0:
-        raise ZeroParameter("b and a must be units of F_p")
-
-    F = get_field(p)
-    b2 = (b * pow(a, -(n + 1), p)) % p
-    observed = exact_valuation(scaled_ik_at_p(F, n, b) - scaled_ik_at_p(F, n, b2))
-    return case_report(p, n, b, a, observed)
 
 
 def run_case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:

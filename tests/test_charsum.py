@@ -30,7 +30,7 @@ from ikdeg.charsum import (
     COUNT_LIMIT, _brute_counts, _character_terms, _relabel, count_work, galois_orbits, orbit_bounds,
     over_budget, scaled_ik_values,
 )
-from ikdeg.errors import BudgetExceeded, CharAtZero, ZeroParameter
+from ikdeg.errors import BudgetExceeded, CharAtZero, OrbitMismatch, ZeroParameter
 from ikdeg.ff import is_prime
 from ikdeg.suites import BOUND_SLACK, DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
 from oracles import brute_distribution
@@ -311,6 +311,17 @@ def test_orbit_bounds_and_exact_valuation_read_any_representative():
             assert exact_valuation(w) == exact_valuation(z)
             other = (j - step) % q1
             assert exact_valuation(w - shifted[other]) == exact_valuation(z - values[other])
+
+
+def test_orbit_check_names_both_b_of_a_value_off_its_orbit():
+    # zeta^2 added to z_1 at p = 7, n = 1: sigma_3(z_1), with 3 the generator
+    # and step = 2, is no longer z_5, while sigma_3(z_0) = z_4 still holds
+    F = get_field(7)
+    values = list(scaled_ik_values(F, 1))  # a copy: the kept tuple stays
+    values[1] = values[1] + CycInt.monomial(7, 2)
+    with pytest.raises(OrbitMismatch) as info:
+        orbit_bounds(F, 1, values)
+    assert str(info.value) == "sigma_3(IK_1(7, 3)) is not IK_1(7, 5) (bug)"
 
 
 def _per_character_terms(F, n):

@@ -352,6 +352,24 @@ def test_benchmark_outputs_match_reference_digests(capsys, name):
     )
 
 
+# Outputs that perfbench does not gate: the sha256 and byte count of stdout.
+PINNED_OUTPUTS = {
+    "verify all": ("c3c07d197646edb2f9715e2a4ce4190f1f4e66c3236def5e12a641f9667e8e05", 1830),
+    "verify bounds": ("cc72110d1b9c1351a54b0fc3fd9264d3db0aa8d762120e6e0ec175cb23ca471c", 36),
+    "census --p 2 --p-max 7 --k 2 --n 1 --n-max 3": (
+        "5b7db2a8d4fad2118a181839edc7f1f4bb6d21d082088d2bdc436ab857c3a100", 13716
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS))
+def test_ungated_outputs_match_pinned_digests(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == PINNED_OUTPUTS[argv]
+
+
 def test_sum_formula_degree(capsys):
     code, out, _ = run_cli(capsys, "sum", "--p", "5", "--n", "1", "--b", "1")
     assert code == 0
@@ -450,6 +468,20 @@ def test_census_value_off_its_orbit_exits_1(monkeypatch, capsys):
     code, out, err = run_cli(capsys, *"census --p 5 --p-max 7 --n 1 --n-max 2".split())
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_census_off_orbit_value_names_both_b_and_writes_no_row(monkeypatch, capsys):
+    # zeta^2 added to z_1 at p = 7, n = 1: the orbit check stops the census
+    # before any row is written
+    def perturbed(F, n):
+        values = list(charsum.scaled_ik_values(F, n))  # a copy: the kept tuple stays
+        values[1] = values[1] + CycInt.monomial(F.p, 2)
+        return tuple(values)
+
+    monkeypatch.setattr(cli, "scaled_ik_values", perturbed)
+    code, out, err = run_cli(capsys, *"census --p 7 --n 1".split())
+    assert (code, out) == (1, "")
+    assert err == "error: sigma_3(IK_1(7, 3)) is not IK_1(7, 5) (bug)\n"
 
 
 def test_census_case_iii_at_large_n(capsys):

@@ -75,12 +75,23 @@ def test_degree_of_matches_orbit_oracle():
     for p, k in EXTENSION_FIELDS:
         F = get_field(p, k)
         values += [scaled_ik_at_p(F, n, b) for n in EXTENSION_NS for b in F.units()]
+    # at large p most a have c_a = c_1, so the test of each a must stop at
+    # its first mismatch and still count every a that fixes z
+    for p in (101, 211):
+        F = get_field(p)
+        values += [scaled_ik_at_p(F, n, b) for n in (1, 2) for b in (1, 2, 5, p - 1)]
+    rng = random.Random(211)
+    for h in (h for h in range(1, 211) if 210 % h == 0):
+        z = _stabilised_value(211, h, rng)
+        values += [z, z + CycInt.monomial(211, rng.randrange(1, 211))]
     degrees = set()
     for z in values:
         d = degree_of(z)
         assert d == _orbit_size(z), z
         degrees.add((z.m, d))
     assert (31, 1) in degrees and (31, 15) in degrees and (31, 30) in degrees
+    assert {(101, 50), (101, 100), (211, 70), (211, 105)} <= degrees
+    assert {(211, 210 // h) for h in range(1, 211) if 210 % h == 0} <= degrees
     for m in (1, 4, 6, 9, 12, 25):
         with pytest.raises(WrongConductor):
             degree_of(CycInt.zeta(m))

@@ -91,7 +91,6 @@ UNREACHED = {
             "cyclo.CycInt.__neg__",
             "cyclo.CycInt.__rsub__",
             "cyclo.embed_complex",
-            "cyclo.galois_apply",
             "cyclo.lower_conductor",
             "ff.FieldElt.__add__",
             "ff.FieldElt.__mul__",
@@ -102,7 +101,6 @@ UNREACHED = {
             "ff.FieldElt.inverse",
             "galois.conjugate_set",
             "galois.equivariance_check",
-            "galois.ik_degree",
             "kernels.linear_convolve",
             "padic.PadicElt.__add__",
             "padic.PadicElt.__init__",
@@ -112,7 +110,6 @@ UNREACHED = {
             "padic.PadicElt.__sub__",
             "padic._embed_table",
             "padic._embedded_scaled_ik",
-            "padic.case_analysis",
             "padic.embed_cyclotomic",
             "padic.run_case_analysis",
             "padic.teichmuller",
