@@ -19,7 +19,7 @@ everything stays inside a ring with decidable equality.
 from math import gcd
 
 from .cyclo import CycInt, _evaluate, _root_row, embed_all, galois_apply, map_exponents
-from .errors import BudgetExceeded, CharAtZero, OrbitMismatch, ZeroParameter
+from .errors import CheckFailed, InvalidParameters
 from .ff import Field, FieldElt
 
 # The counting route's limit on additions. It exceeds count_work at every
@@ -38,7 +38,7 @@ def mult_char(F: Field, m: int, x) -> CycInt:
     zeta_{q-1}^j, at conductor q-1."""
     x = F.elt(x)
     if x.is_zero():
-        raise CharAtZero("multiplicative character at zero")
+        raise InvalidParameters("multiplicative character at zero")
     q1 = F.q - 1
     return CycInt.monomial(q1, (-m * F.dlog(x)) % q1)
 
@@ -59,10 +59,10 @@ def gauss_sum(F: Field, m: int) -> CycInt:
 
 def _check_ik_args(F: Field, n: int, b) -> FieldElt:
     if n < 1:
-        raise ZeroParameter("dimension n must be >= 1")
+        raise InvalidParameters("dimension n must be >= 1")
     b = F.elt(b)
     if b.is_zero():
-        raise ZeroParameter("parameter b must be nonzero")
+        raise InvalidParameters("parameter b must be nonzero")
     return b
 
 
@@ -82,7 +82,7 @@ def _enumeration_guard(F: Field, n: int, b) -> FieldElt:
     """Refuse a count that is over_budget."""
     b = _check_ik_args(F, n, b)
     if over_budget(F.q, n):
-        raise BudgetExceeded(f"counting takes {count_work(F.q, n)} additions, over the limit {COUNT_LIMIT}")
+        raise InvalidParameters(f"counting takes {count_work(F.q, n)} additions, over the limit {COUNT_LIMIT}")
     return b
 
 
@@ -228,7 +228,7 @@ def scaled_ik_values(F: Field, n: int) -> tuple:
     zeta_{p(q-1)}^e = zeta_p^(e/(q-1) mod p) * zeta_{q-1}^(e/p mod q-1).
     """
     if n < 1:
-        raise ZeroParameter("dimension n must be >= 1")
+        raise InvalidParameters("dimension n must be >= 1")
     key = ("values", n)
     values = F._cache.get(key)
     if values is None:
@@ -261,7 +261,7 @@ def s1_identity_check(F: Field, n: int) -> bool:
     """Recompute the u = 0 slice of the orthogonality split in scaled form
     and compare it with -(q-1)^(n+1)."""
     if n < 1:
-        raise ZeroParameter("dimension n must be >= 1")
+        raise InvalidParameters("dimension n must be >= 1")
     p, q1 = F.p, F.q - 1
     big_m = p * q1
     lam_sum = CycInt.zero(big_m)
@@ -323,13 +323,13 @@ def galois_orbits(F: Field, n: int):
 
 
 def _check_orbits(F: Field, n: int, a: int, step: int, values: list) -> None:
-    """Raise OrbitMismatch unless sigma_a(z_j) = z_(j - step) for every j
+    """Raise CheckFailed unless sigma_a(z_j) = z_(j - step) for every j
     (galois_orbits), compared exactly: CycInt equality reads canonical
     forms, so any representative of z_j passes."""
     q1 = F.q - 1
     for j, z in enumerate(values):
         if galois_apply(z, a) != values[(j - step) % q1]:
-            raise OrbitMismatch(
+            raise CheckFailed(
                 f"sigma_{a}(IK_{n}({F.q}, {F.pow_of_generator(j).serialize()})) is not "
                 f"IK_{n}({F.q}, {F.pow_of_generator(j - step).serialize()}) (bug)"
             )
@@ -347,7 +347,8 @@ def orbit_bounds(F: Field, n: int, values: list) -> list:
     values[j] is z_j = scaled_ik_at_p(F, n, g^j), j = 0 .. q-2, each read
     through its canonical coefficients, so any representative of z_j gives
     the same floats. Raises
-    OrbitMismatch unless sigma_a(z_j) = z_(j - step) exactly for every j
+    InvalidParameters unless p < 2^20, which the proof below needs, and
+    CheckFailed unless sigma_a(z_j) = z_(j - step) exactly for every j
     (_check_orbits, galois_orbits). Then sigma_(a^t)(z_j) = z_(j - step t),
     so the embedding of z_j at zeta^(a^t) equals the first embedding (at
     zeta) of z_(j - step t): the q-1 first embeddings estimate every
@@ -375,7 +376,8 @@ def orbit_bounds(F: Field, n: int, values: list) -> list:
     room for the rounding of W and of the comparison.
     """
     p, q1 = F.p, F.q - 1
-    assert p < 2**20, "the window's error bound needs p < 2^20"
+    if p >= 2**20:
+        raise InvalidParameters("the window's error bound needs p < 2^20")
     a, step, orbits = galois_orbits(F, n)
     canon = [z.canonical() for z in values]
     _check_orbits(F, n, a, step, values)

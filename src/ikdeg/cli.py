@@ -11,7 +11,7 @@ from types import SimpleNamespace
 from . import suites
 from .charsum import galois_orbits, inverted_kloosterman_brute, orbit_bounds, scaled_ik_at_p, scaled_ik_values
 from .cyclo import change_conductor, embed_all
-from .errors import BudgetExceeded, IKDegError, InvalidParameters
+from .errors import CheckFailed, InvalidParameters
 from .ff import Field, get_field, is_prime
 from .galois import degree_of, min_poly
 from .padic import case_analysis
@@ -208,7 +208,7 @@ def cmd_sum(args) -> int:
     for j, c in embeddings.items():
         c /= scale
         print(f"embedding j={j}: {c.real:.12g}{c.imag:+.12g}i (err <= {err:.3g})")
-    poly = min_poly(value)  # asserts that its degree is the orbit size
+    poly = min_poly(value)  # checks that it vanishes at z; its degree is the orbit size
     label = "IK" if scale == 1 else f"{scale}*IK"
     print(f"degree({label}) = {len(poly) - 1}")
     print(f"minpoly({label}) = {list(poly)}")
@@ -333,7 +333,7 @@ def main(argv=None) -> int:
             if value is not None and value < 1:
                 raise InvalidParameters(f"--{name.replace('_', '-')} must be >= 1")
         return {"verify": cmd_verify, "census": cmd_census, "sum": cmd_sum}[args.command](args)
-    except (InvalidParameters, BudgetExceeded) as exc:
+    except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory: the field is too large to compute in", file=sys.stderr)
         return 2
-    except IKDegError as exc:
+    except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -356,7 +356,7 @@ def run():
     # then; frozen objects are skipped. atexit handlers and the flush of
     # open files still run.
     gc.freeze()
-    raise SystemExit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

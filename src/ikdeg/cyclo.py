@@ -12,7 +12,7 @@ from functools import lru_cache, reduce
 from math import cos, gcd, pi, sin
 
 from . import kernels
-from .errors import ConductorMismatch, NonCoprimeIndex, WrongConductor
+from .errors import InvalidParameters
 
 
 def poly_rem(c, f) -> list:
@@ -74,7 +74,7 @@ def cyclotomic_poly(m: int) -> tuple:
     O(phi(rad)) shift-and-add pass.
     """
     if m < 1:
-        raise ValueError("conductor must be positive")
+        raise InvalidParameters("conductor must be positive")
     primes = prime_factors(m)
     rad, deg = 1, 1
     for ell in primes:
@@ -103,7 +103,7 @@ class CycInt:
 
     def __init__(self, m, coeffs=()):
         if m < 1:
-            raise ValueError("conductor must be positive")
+            raise InvalidParameters("conductor must be positive")
         c = list(coeffs)
         if len(c) > m:
             # fold exponents >= m back around x^m = 1
@@ -165,7 +165,7 @@ class CycInt:
 
     def _check(self, other):
         if self.m != other.m:
-            raise ConductorMismatch(f"conductors {self.m} and {other.m} differ")
+            raise InvalidParameters(f"conductors {self.m} and {other.m} differ")
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -205,7 +205,7 @@ class CycInt:
 
     def __pow__(self, e):
         if e < 0:
-            raise ValueError("negative powers are not defined in Z[zeta_m]")
+            raise InvalidParameters("negative powers are not defined in Z[zeta_m]")
         return power(self, e, CycInt.from_int(self.m, 1), operator.mul)
 
     def shifted(self, e):
@@ -254,34 +254,41 @@ def map_exponents(z: CycInt, k: int, big_m: int) -> CycInt:
     return CycInt(big_m, out)
 
 
+def prime_conductor(z: CycInt) -> int:
+    """z's conductor, which must be prime."""
+    if prime_factors(z.m) != [z.m]:
+        raise InvalidParameters(f"conductor {z.m} is not prime")
+    return z.m
+
+
 def galois_apply(z: CycInt, a: int) -> CycInt:
     """Apply zeta_m -> zeta_m^a; requires gcd(a, m) = 1."""
     if gcd(a, z.m) != 1:
-        raise NonCoprimeIndex(f"gcd({a}, {z.m}) != 1")
+        raise InvalidParameters(f"gcd({a}, {z.m}) != 1")
     return map_exponents(z, a, z.m)
 
 
 def change_conductor(z: CycInt, big_m: int) -> CycInt:
     """Re-embed z into Z[zeta_M] for a multiple conductor M."""
     if big_m % z.m != 0:
-        raise ConductorMismatch(f"{z.m} does not divide {big_m}")
+        raise InvalidParameters(f"{z.m} does not divide {big_m}")
     return map_exponents(z, big_m // z.m, big_m)
 
 
 def lower_conductor(z: CycInt, d: int) -> CycInt:
     """Rewrite z in Z[zeta_d] when m = d*r with gcd(d, r) = 1.
 
-    Raises WrongConductor when the split is not coprime or the element
+    Raises InvalidParameters when the split is not coprime or the element
     does not actually lie in the subring.
     """
     m = z.m
     if m == d:
         return z.reduced()
     if d < 1 or m % d != 0:
-        raise WrongConductor(f"{d} does not divide conductor {m}")
+        raise InvalidParameters(f"{d} does not divide conductor {m}")
     r = m // d
     if gcd(d, r) != 1:
-        raise WrongConductor(f"conductor split {d}*{r} is not coprime")
+        raise InvalidParameters(f"conductor split {d}*{r} is not coprime")
     a_mul = pow(r, -1, d) if d > 1 else 0
     b_mul = pow(d, -1, r) if r > 1 else 0
     # zeta_m^e = zeta_d^(e*r^-1 mod d) * zeta_r^(e*d^-1 mod r)
@@ -294,7 +301,7 @@ def lower_conductor(z: CycInt, d: int) -> CycInt:
     rows = [poly_rem(row, cyclotomic_poly(r)) for row in rows]
     cols = [poly_rem(col, cyclotomic_poly(d)) for col in zip(*rows)]
     if any(map(any, cols[1:])):
-        raise WrongConductor(f"element is not in Z[zeta_{d}]")
+        raise InvalidParameters(f"element is not in Z[zeta_{d}]")
     return CycInt(d, cols[0])
 
 
@@ -337,5 +344,5 @@ def embed_complex(z: CycInt, j: int):
     """Evaluate z at e^(2*pi*i*j/m); returns (value, error_bound). One
     embedding of embed_all, with the same floats."""
     if gcd(j, z.m) != 1:
-        raise NonCoprimeIndex(f"gcd({j}, {z.m}) != 1")
+        raise InvalidParameters(f"gcd({j}, {z.m}) != 1")
     return _evaluate(z.coeffs, _root_row(z.m, j)), _error_bound(z.coeffs)

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 
 from .cyclo import poly_rem, power, prime_factors
-from .errors import FieldMismatch, InvalidParameters, InversionOfZero, LogOfZero
+from .errors import CheckFailed, InvalidParameters
 
 
 def is_prime(n: int) -> bool:
@@ -65,7 +65,7 @@ def default_modulus(p: int, k: int) -> tuple:
         f = _digits(code, p, k) + [1]
         if all(_pmod(f, g, p) for g in factors):
             return tuple(f)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise CheckFailed("no irreducible polynomial found")  # unreachable
 
 
 class FieldElt:
@@ -79,7 +79,7 @@ class FieldElt:
 
     def _check(self, other):
         if not isinstance(other, FieldElt) or other.field is not self.field:
-            raise FieldMismatch("operands belong to different fields")
+            raise InvalidParameters("operands belong to different fields")
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -111,7 +111,7 @@ class FieldElt:
 
     def inverse(self):
         if self.is_zero():
-            raise InversionOfZero("inverse of zero")
+            raise InvalidParameters("inverse of zero")
         F = self.field
         return F.pow_of_generator(-F.dlog_table[self.coeffs] % (F.q - 1))
 
@@ -128,7 +128,7 @@ class FieldElt:
                 return self
             if e == 0:
                 return F.one
-            raise InversionOfZero("negative power of zero")
+            raise InvalidParameters("negative power of zero")
         j = F.dlog_table[self.coeffs]
         return F.pow_of_generator((j * e) % (F.q - 1))
 
@@ -171,7 +171,7 @@ class Field:
         """Coerce: int -> prime-subfield scalar; sequence -> coordinates."""
         if isinstance(value, FieldElt):
             if value.field is not self:
-                raise FieldMismatch("element from another field")
+                raise InvalidParameters("element from another field")
             return value
         if isinstance(value, int):
             return FieldElt(self, [value] + [0] * (self.k - 1))
@@ -211,7 +211,7 @@ class Field:
             cand = self.from_encoding(code).coeffs
             if all(power(cand, order // ell, one, self._mul_raw) != one for ell in factors):
                 return FieldElt(self, cand)
-        raise AssertionError("no generator found")  # unreachable
+        raise CheckFailed("no generator found")  # unreachable
 
     def _build_dlog(self):
         """dlog_table maps the coordinates of g^j to j; _pow_table[j] holds
@@ -253,7 +253,7 @@ class Field:
     def dlog(self, x: FieldElt) -> int:
         x = self.elt(x)
         if x.is_zero():
-            raise LogOfZero("discrete log of zero")
+            raise InvalidParameters("discrete log of zero")
         return self.dlog_table[x.coeffs]
 
     @cached_property

@@ -6,20 +6,14 @@ no factorization is needed.
 """
 
 from .charsum import _check_ik_args, scaled_ik_at_p
-from .cyclo import CycInt, galois_apply
-from .errors import NonIntegerCoefficients, WrongConductor, ZeroParameter
-from .ff import Field, is_prime
-
-
-def _require_prime_conductor(z: CycInt) -> int:
-    if not is_prime(z.m):
-        raise WrongConductor(f"conductor {z.m} is not prime")
-    return z.m
+from .cyclo import CycInt, galois_apply, prime_conductor
+from .errors import CheckFailed, InvalidParameters
+from .ff import Field
 
 
 def conjugate_set(z: CycInt) -> tuple[CycInt, ...]:
     """The images sigma_a(z) for a = 1 .. p-1, in that order."""
-    p = _require_prime_conductor(z)
+    p = prime_conductor(z)
     return tuple(galois_apply(z, a) for a in range(1, p))
 
 
@@ -34,7 +28,7 @@ def degree_of(z: CycInt) -> int:
     e = 1) is tested e by e, stopping at the first mismatch; no conjugate
     is built or reduced.
     """
-    p = _require_prime_conductor(z)
+    p = prime_conductor(z)
     c = z.coeffs
     fixing = sum(
         all(c[a * e % p] == x for e, x in enumerate(c)) for a in range(1, p) if c[a] == c[1]
@@ -45,7 +39,7 @@ def degree_of(z: CycInt) -> int:
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
-        raise NonIntegerCoefficients(f"{a} is not divisible by {b} (bug)")
+        raise CheckFailed(f"{a} is not divisible by {b} (bug)")
     return q
 
 
@@ -59,7 +53,7 @@ def min_poly(z: CycInt) -> tuple:
     Then e_k = (1/k) sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i. The powers cost
     d - 1 products, where expanding the orbit product costs about d^2/2.
     """
-    p = _require_prime_conductor(z)
+    p = prime_conductor(z)
     d = degree_of(z)
     h = (p - 1) // d
     powers = [z]
@@ -77,7 +71,8 @@ def min_poly(z: CycInt) -> tuple:
     value[0] = poly[0]
     for c, w in zip(poly[1:], powers):
         value = [v + c * x for v, x in zip(value, w.coeffs)]
-    assert CycInt(p, value).is_zero(), "minimal polynomial does not vanish at z (bug)"
+    if not CycInt(p, value).is_zero():
+        raise CheckFailed("minimal polynomial does not vanish at z (bug)")
     return poly
 
 
@@ -86,7 +81,7 @@ def equivariance_check(F: Field, n: int, b, a: int) -> bool:
     scaled form at conductor p."""
     b = _check_ik_args(F, n, b)
     if a % F.p == 0:
-        raise ZeroParameter("Galois index a must be a unit of F_p")
+        raise InvalidParameters("Galois index a must be a unit of F_p")
     a %= F.p
     lifted = F.elt(a)
     b2 = b * lifted ** (-(n + 1))

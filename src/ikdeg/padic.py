@@ -27,18 +27,8 @@ from math import gcd
 
 from . import kernels
 from .charsum import scaled_ik_at_p
-from .cyclo import CycInt, power
-from .errors import (
-    DegenerateIndex,
-    DegenerateParameters,
-    InvalidParameters,
-    PrecisionMismatch,
-    PrecisionTooLow,
-    UnsupportedConductor,
-    VanishingDifference,
-    WrongConductor,
-    ZeroParameter,
-)
+from .cyclo import CycInt, power, prime_conductor
+from .errors import CheckFailed, InvalidParameters
 from .ff import Field, get_field, is_prime
 
 
@@ -97,7 +87,7 @@ class PadicElt:
 
     def _check(self, other):
         if self.p != other.p or self.prec != other.prec:
-            raise PrecisionMismatch("mismatched prime or truncation order")
+            raise InvalidParameters("mismatched prime or truncation order")
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -131,7 +121,7 @@ class PadicElt:
 
     def __pow__(self, e):
         if e < 0:
-            raise ValueError("negative powers not supported")
+            raise InvalidParameters("negative powers not supported")
         return power(self, e, PadicElt.one(self.p, self.prec), operator.mul)
 
     def __eq__(self, other):
@@ -155,16 +145,16 @@ def teichmuller(p: int, a: int, prec: int) -> PadicElt:
     if not is_prime(p):
         raise InvalidParameters(f"{p} is not prime")
     if prec < 1:
-        raise PrecisionTooLow("need at least 1 digit")
+        raise InvalidParameters("need at least 1 digit")
     if a % p == 0:
-        raise ZeroParameter("Teichmuller lift of zero is undefined")
+        raise InvalidParameters("Teichmuller lift of zero is undefined")
     x = PadicElt.from_int(p, prec, a % p)
     for _ in range(prec + 2):
         y = x**p
         if y == x:
             return x
         x = y
-    raise AssertionError("Teichmuller iteration did not converge")  # unreachable
+    raise CheckFailed("Teichmuller iteration did not converge")  # unreachable
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +171,7 @@ def zeta_p_padic(p: int, prec: int) -> PadicElt:
     if not is_prime(p):
         raise InvalidParameters(f"{p} is not prime")
     if prec < 2 * (p - 1):
-        raise PrecisionTooLow("need at least 2(p-1) digits")
+        raise InvalidParameters("need at least 2(p-1) digits")
     one = PadicElt.one(p, prec)
     z = one + PadicElt.monomial(p, prec, 1)
     for _ in range(prec):
@@ -189,12 +179,15 @@ def zeta_p_padic(p: int, prec: int) -> PadicElt:
         v = r.pi_valuation
         if v is None:
             break
-        assert v - (p - 1) >= 2, "Newton's step needs z^p = 1 mod pi^(p+1)"
+        if v - (p - 1) < 2:
+            raise CheckFailed("Newton's step needs z^p = 1 mod pi^(p+1)")
         z = z + z * PadicElt(p, prec, r.digits[p - 1 :])
     else:
-        raise AssertionError("zeta_p lift did not converge")  # unreachable
-    assert z**p == one
-    assert (z - one).pi_valuation == 1 and (z - one).digits[1] == 1
+        raise CheckFailed("zeta_p lift did not converge")  # unreachable
+    if z**p != one:
+        raise CheckFailed("zeta_p lift is not a p-th root of unity")
+    if (z - one).pi_valuation != 1 or (z - one).digits[1] != 1:
+        raise CheckFailed("zeta_p lift is not 1 + pi mod pi^2")
     return z
 
 
@@ -219,7 +212,7 @@ def _exponent_split(m: int, p: int):
     for m | p(p-1): the CRT split of exponents."""
     big_m = p * (p - 1)
     if big_m % m != 0:
-        raise UnsupportedConductor(f"conductor {m} does not divide {big_m}")
+        raise InvalidParameters(f"conductor {m} does not divide {big_m}")
     step = big_m // m
     return step * pow(p - 1, -1, p) % p, step * pow(p, -1, p - 1) % (p - 1)
 
@@ -267,9 +260,7 @@ def exact_valuation(z: CycInt) -> int | None:
     (x - 1), whose quotient is the running sums from the top. O(p(t + k))
     additions, no precision.
     """
-    p = z.m
-    if not is_prime(p):
-        raise WrongConductor(f"conductor {p} is not prime")
+    p = prime_conductor(z)
     d = z.canonical()[:-1]
     common = gcd(*d)
     if not common:
@@ -336,9 +327,9 @@ def valuation_formulas(p: int, n: int, m: int) -> int:
     """W(m) = (n+1)m + 2t, t = -(n+1)m mod p-1: the predicted pi-adic
     valuation of the character term for omega^(-m)."""
     if not 1 <= m <= p - 2:
-        raise DegenerateIndex("need 1 <= m <= p-2")
+        raise InvalidParameters("need 1 <= m <= p-2")
     if ((n + 1) * m) % (p - 1) == 0:
-        raise DegenerateIndex("(p-1) divides (n+1)m")
+        raise InvalidParameters("(p-1) divides (n+1)m")
     t = (-(n + 1) * m) % (p - 1)
     return (n + 1) * m + 2 * t
 
@@ -391,15 +382,15 @@ def case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:
 
     The observed valuation is read exactly in Z[zeta_p] (exact_valuation);
     the other fields depend only on (p, n, a) (_case_class). A difference
-    that is zero in Case I, II or III raises VanishingDifference.
+    that is zero in Case I, II or III raises CheckFailed.
     """
     F = get_field(p)  # InvalidParameters unless p is prime
     if n < 1:
-        raise DegenerateParameters("dimension n must be >= 1")
+        raise InvalidParameters("dimension n must be >= 1")
     b %= p
     a %= p
     if b == 0 or a == 0:
-        raise ZeroParameter("b and a must be units of F_p")
+        raise InvalidParameters("b and a must be units of F_p")
 
     b2 = (b * pow(a, -(n + 1), p)) % p
     observed = exact_valuation(scaled_ik_at_p(F, n, b) - scaled_ik_at_p(F, n, b2))
@@ -407,7 +398,7 @@ def case_analysis(p: int, n: int, b: int, a: int) -> CaseReport:
     if predicted is None:  # trivial or stabilized: the difference must vanish
         return CaseReport(p, n, b, a, label, h, k, m_star, None, None, False, observed is None)
     if observed is None:
-        raise VanishingDifference(
+        raise CheckFailed(
             f"Case {label} difference is zero at p={p} n={n} b={b} a={a}"
         )
     return CaseReport(

@@ -7,7 +7,7 @@ parameters.
 from math import gcd
 
 from .charsum import COUNT_LIMIT, inverted_kloosterman_brute, orbit_bounds, over_budget, scaled_ik_values
-from .errors import BudgetExceeded, InvalidParameters
+from .errors import InvalidParameters
 from .ff import get_field, is_prime
 from .galois import ik_degree
 from .padic import case_analysis, stickelberger_check
@@ -38,7 +38,7 @@ def identity_suite(p=None, n=None):
         if not is_prime(pp):
             raise InvalidParameters(f"{pp} is not prime")
     if all(over_budget(pp, nn) for pp in primes for nn in ns):
-        raise BudgetExceeded(f"the count limit {COUNT_LIMIT} skips every identity case")
+        raise InvalidParameters(f"the count limit {COUNT_LIMIT} skips every identity case")
     lines = []
     ok = True
     for pp in primes:

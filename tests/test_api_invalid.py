@@ -1,11 +1,16 @@
-"""The library API on invalid input: every call raises an IKDegError subclass,
-never a bare exception and never a value."""
+"""The library API on invalid input: every call raises InvalidParameters,
+never another exception and never a value."""
+
+import operator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ikdeg import (
+    CycInt,
+    PadicElt,
     bounds_check,
+    cyclotomic_poly,
     case_analysis,
     equivariance_check,
     get_field,
@@ -16,7 +21,7 @@ from ikdeg import (
     teichmuller,
     zeta_p_padic,
 )
-from ikdeg.errors import IKDegError
+from ikdeg.errors import InvalidParameters
 from ikdeg.ff import is_prime
 from oracles import default_precision
 
@@ -84,8 +89,13 @@ def invalid_call(draw):
 @example(("equivariance_check", API["equivariance_check"][1], {"p": 7, "n": 0, "b": 1, "a": 2}))
 @example(("equivariance_check", API["equivariance_check"][1], {"p": 7, "n": 1, "b": 14, "a": 2}))
 @example(("equivariance_check", API["equivariance_check"][1], {"p": 7, "n": 1, "b": 1, "a": -7}))
+# a conductor below 1, and negative powers in Z[zeta_m] and in Z_p[pi]
+@example(("CycInt", CycInt, {"m": 0}))
+@example(("cyclotomic_poly", cyclotomic_poly, {"m": 0}))
+@example(("CycInt ** e", operator.pow, {"z": CycInt.zeta(5), "e": -1}))
+@example(("PadicElt ** e", operator.pow, {"z": PadicElt.one(5, 8), "e": -1}))
 def test_invalid_input_raises_library_error(call):
     name, fn, args = call
-    with pytest.raises(IKDegError):
+    with pytest.raises(InvalidParameters):
         value = fn(*args.values())
         pytest.fail(f"{name}({args}) returned {value!r}")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +31,7 @@ from ikdeg.charsum import (
     COUNT_LIMIT, _brute_counts, _character_terms, _relabel, count_work, galois_orbits, orbit_bounds,
     over_budget, scaled_ik_values,
 )
-from ikdeg.errors import BudgetExceeded, CharAtZero, OrbitMismatch, ZeroParameter
+from ikdeg.errors import CheckFailed, InvalidParameters
 from ikdeg.ff import is_prime
 from ikdeg.suites import BOUND_SLACK, DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
 from oracles import brute_distribution
@@ -54,7 +55,7 @@ def test_mult_char_values_and_homomorphism():
     for x in F.units():
         for y in F.units():
             assert mult_char(F, 2, x * y) == mult_char(F, 2, x) * mult_char(F, 2, y)
-    with pytest.raises(CharAtZero):
+    with pytest.raises(InvalidParameters, match="^multiplicative character at zero$"):
         mult_char(F, 2, F.zero)
 
 
@@ -228,15 +229,15 @@ def test_count_limit_edges():
 def test_budget_and_zero_guards():
     F = get_field(13)
     F2003 = get_field(2003)
-    with pytest.raises(BudgetExceeded, match="^counting takes 8020012 additions, over the limit 4194304$"):
+    with pytest.raises(InvalidParameters, match="^counting takes 8020012 additions, over the limit 4194304$"):
         inverted_kloosterman_brute(F2003, 2, F2003.one)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(InvalidParameters, match="^counting takes 8020012 additions, over the limit 4194304$"):
         kloosterman_brute(F2003, 2, F2003.one)
-    with pytest.raises(ZeroParameter):
+    with pytest.raises(InvalidParameters, match="^parameter b must be nonzero$"):
         ik_formula_scaled(F, 1, F.zero)
-    with pytest.raises(ZeroParameter):
+    with pytest.raises(InvalidParameters, match="^dimension n must be >= 1$"):
         ik_formula_scaled(F, 0, F.one)
-    with pytest.raises(ZeroParameter):
+    with pytest.raises(InvalidParameters, match="^parameter b must be nonzero$"):
         kloosterman_brute(F, 1, F.zero)
 
 
@@ -319,9 +320,17 @@ def test_orbit_check_names_both_b_of_a_value_off_its_orbit():
     F = get_field(7)
     values = list(scaled_ik_values(F, 1))  # a copy: the kept tuple stays
     values[1] = values[1] + CycInt.monomial(7, 2)
-    with pytest.raises(OrbitMismatch) as info:
+    with pytest.raises(CheckFailed, match=r"^sigma_3\(IK_1\(7, 3\)\) is not IK_1\(7, 5\) \(bug\)$") as info:
         orbit_bounds(F, 1, values)
     assert str(info.value) == "sigma_3(IK_1(7, 3)) is not IK_1(7, 5) (bug)"
+
+
+def test_orbit_bounds_refuses_p_past_its_error_bound_before_any_work():
+    # the stub field has only p and q, and there are no values: any work
+    # before the check would fail on them
+    F = SimpleNamespace(p=2**20 + 7, q=2**20 + 7)
+    with pytest.raises(InvalidParameters, match=r"^the window's error bound needs p < 2\^20$"):
+        orbit_bounds(F, 1, None)
 
 
 def _per_character_terms(F, n):

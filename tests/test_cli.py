@@ -125,6 +125,16 @@ def test_cli_import_leaves_out_dataclasses():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_min_poly_check_exits_1_also_under_dash_o(flags):
+    # every CycInt reads as nonzero, so min_poly's check that its polynomial
+    # vanishes at z fails; -O strips asserts, and this check is not one
+    script = "from ikdeg import cli, galois; galois.CycInt.is_zero = lambda self: False; cli.run()"
+    proc = _run_child([*flags, "-c", script, *"sum --p 13 --n 2 --b 5".split()])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: minimal polynomial does not vanish at z (bug)\n"
+
+
 def test_sum_runs_without_json_or_argparse():
     script = (
         "import sys\n"

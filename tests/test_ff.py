@@ -3,12 +3,7 @@ import hashlib
 import pytest
 
 from ikdeg import get_field
-from ikdeg.errors import (
-    FieldMismatch,
-    InvalidParameters,
-    InversionOfZero,
-    LogOfZero,
-)
+from ikdeg.errors import InvalidParameters
 from ikdeg import ff
 from ikdeg.ff import Field, default_modulus, is_prime
 from oracles import is_irreducible
@@ -135,14 +130,14 @@ def test_pow_negative_exponents():
 
 def test_inversion_of_zero():
     F = get_field(5)
-    with pytest.raises(InversionOfZero):
+    with pytest.raises(InvalidParameters, match="^inverse of zero$"):
         F.zero.inverse()
-    with pytest.raises(InversionOfZero):
+    with pytest.raises(InvalidParameters, match="^negative power of zero$"):
         F.zero ** (-2)
 
 
 def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(InvalidParameters, match="^operands belong to different fields$"):
         get_field(5).elt(1) + get_field(7).elt(1)
 
 
@@ -274,7 +269,7 @@ def test_dlog_examples_and_roundtrip():
 
 
 def test_log_of_zero():
-    with pytest.raises(LogOfZero):
+    with pytest.raises(InvalidParameters, match="^discrete log of zero$"):
         get_field(5).dlog(get_field(5).zero)
 
 
