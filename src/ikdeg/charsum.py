@@ -264,10 +264,10 @@ def s1_identity_check(F: Field, n: int) -> bool:
         raise InvalidParameters("dimension n must be >= 1")
     p, q1 = F.p, F.q - 1
     big_m = p * q1
-    lam_sum = CycInt.zero(big_m)
+    lam_sum = CycInt(big_m)
     for lam in F.units():
         lam_sum = lam_sum + CycInt.monomial(big_m, q1 * F.trace(lam.inverse()))
-    chi_sum = CycInt.zero(big_m)
+    chi_sum = CycInt(big_m)
     for mi in range(q1):
         inner = [0] * big_m
         for j in range(q1):

@@ -5,7 +5,6 @@ Exit codes: 0 full pass, 1 any verification failure, 2 invalid parameters.
 
 import gc
 import sys
-from math import gcd
 from types import SimpleNamespace
 
 from . import suites
@@ -13,7 +12,7 @@ from .charsum import galois_orbits, inverted_kloosterman_brute, orbit_bounds, sc
 from .cyclo import change_conductor, embed_all
 from .errors import CheckFailed, InvalidParameters
 from .ff import Field, get_field, is_prime
-from .galois import degree_of, min_poly
+from .galois import degree_bound, degree_of, min_poly
 from .padic import case_analysis
 
 
@@ -57,7 +56,7 @@ def census_record(F: Field, n: int, j: int, degree: int, report, bounds: tuple) 
     """
     p = F.p
     b = F.pow_of_generator(j)
-    bound = (p - 1) // gcd(n + 1, p - 1)
+    bound = degree_bound(p, n)
     case_label, pred, obs = "", None, None
     if report is not None:
         case_label, pred, obs = report.case_label, report.predicted_valuation, report.observed_valuation

@@ -106,30 +106,16 @@ class CycInt:
             raise InvalidParameters("conductor must be positive")
         c = list(coeffs)
         if len(c) > m:
-            # fold exponents >= m back around x^m = 1
-            folded = [0] * m
-            for i, v in enumerate(c):
-                folded[i % m] += v
-            c = folded
-        else:
-            c = c + [0] * (m - len(c))
+            raise InvalidParameters(f"{len(c)} coefficients for conductor {m}: at most {m}")
         self.m = m
-        self.coeffs = tuple(c)
+        self.coeffs = tuple(c + [0] * (m - len(c)))
         self._canon = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, m):
-        return cls(m)
-
-    @classmethod
     def from_int(cls, m, c):
         return cls(m, [c])
-
-    @classmethod
-    def zeta(cls, m, e=1):
-        return cls.monomial(m, e)
 
     @classmethod
     def monomial(cls, m, e, c=1):

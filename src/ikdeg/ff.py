@@ -150,7 +150,13 @@ class FieldElt:
 
 
 class Field:
-    """The finite field F_{p^k}, immutable after construction."""
+    """The finite field F_{p^k}.
+
+    p, k, q, the modulus, the generator and the discrete-log table are fixed
+    at construction. _cache grows as charsum reads the field: it keeps each
+    power G^e of the Gauss sum and each n's tuple of scaled values, and the
+    traces of the basis are computed on first use.
+    """
 
     def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
@@ -293,7 +299,8 @@ def _field(p: int, k: int) -> Field:
 
 
 def get_field(p: int, k: int = 1) -> Field:
-    """Construction cache; Field instances are immutable and shareable.
+    """Construction cache: one Field per (p, k), shared by every caller, so
+    the values charsum keeps in its _cache serve them all.
 
     The cache is keyed on (p, k) as given here, so get_field(7),
     get_field(7, 1) and get_field(7, k=1) are one Field.

@@ -5,6 +5,8 @@ the size of its conjugate orbit, (p-1) over the order of its stabiliser;
 no factorization is needed.
 """
 
+from math import gcd
+
 from .charsum import _check_ik_args, scaled_ik_at_p
 from .cyclo import CycInt, galois_apply, prime_conductor
 from .errors import CheckFailed, InvalidParameters
@@ -90,6 +92,12 @@ def equivariance_check(F: Field, n: int, b, a: int) -> bool:
     return lhs == rhs
 
 
+def degree_bound(p: int, n: int) -> int:
+    """(p-1)/gcd(n+1, p-1): the degree of IK_n(p, b) for every b in F_p^*.
+    Over F_q, q = p^k, the degree of IK_n(q, b) divides it."""
+    return (p - 1) // gcd(n + 1, p - 1)
+
+
 def ik_degree(F: Field, n: int, b) -> int:
     """Degree of IK_n(q, b); scaling by q(q-1) preserves orbit distinctness."""
     return degree_of(scaled_ik_at_p(F, n, b))
@@ -101,4 +109,5 @@ __all__ = [
     "min_poly",
     "equivariance_check",
     "ik_degree",
+    "degree_bound",
 ]

@@ -9,7 +9,7 @@ from math import gcd
 from .charsum import COUNT_LIMIT, inverted_kloosterman_brute, orbit_bounds, over_budget, scaled_ik_values
 from .errors import InvalidParameters
 from .ff import get_field, is_prime
-from .galois import ik_degree
+from .galois import degree_bound, ik_degree
 from .padic import case_analysis, stickelberger_check
 
 IDENTITY_PRIMES = (3, 5, 7, 11, 13)
@@ -67,13 +67,16 @@ def degree_suite(p_max=DEGREE_P_MAX, n_max=DEGREE_N_MAX):
     lines = []
     for p in _primes_upto(p_max):
         F = get_field(p)
+        p_ok = True
         for n in range(1, n_max + 1):
-            expected = (p - 1) // gcd(n + 1, p - 1)
+            expected = degree_bound(p, n)
             bad = [b.serialize() for b in F.units() if ik_degree(F, n, b) != expected]
             if bad:
-                ok = False
+                p_ok = False
                 lines.append(f"degree p={p} n={n}: FAIL (want {expected}) at b in {bad}")
-        lines.append(f"degree p={p} n=1..{n_max}: ok")
+        if p_ok:
+            lines.append(f"degree p={p} n=1..{n_max}: ok")
+        ok = ok and p_ok
     return ok, lines
 
 
@@ -84,7 +87,7 @@ def divisibility_suite(fields=EXTENSION_FIELDS, ns=EXTENSION_NS):
     for p, k in fields:
         F = get_field(p, k)
         for n in ns:
-            bound = (p - 1) // gcd(n + 1, p - 1)
+            bound = degree_bound(p, n)
             bad = [b.serialize() for b in F.units() if bound % ik_degree(F, n, b) != 0]
             if bad:
                 ok = False

@@ -7,22 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ikdeg import (
-    CycInt,
-    PadicElt,
-    bounds_check,
-    cyclotomic_poly,
-    case_analysis,
-    equivariance_check,
-    get_field,
-    ik_degree,
-    ik_formula_scaled,
-    scaled_ik_at_p,
-    stickelberger_check,
-    teichmuller,
-    zeta_p_padic,
+    CycInt, case_analysis, cyclotomic_poly, get_field, ik_degree, scaled_ik_at_p, stickelberger_check,
 )
+from ikdeg.charsum import bounds_check, ik_formula_scaled
 from ikdeg.errors import InvalidParameters
 from ikdeg.ff import is_prime
+from ikdeg.galois import equivariance_check
+from ikdeg.padic import PadicElt, teichmuller, zeta_p_padic
 from oracles import default_precision
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -92,7 +83,7 @@ def invalid_call(draw):
 # a conductor below 1, and negative powers in Z[zeta_m] and in Z_p[pi]
 @example(("CycInt", CycInt, {"m": 0}))
 @example(("cyclotomic_poly", cyclotomic_poly, {"m": 0}))
-@example(("CycInt ** e", operator.pow, {"z": CycInt.zeta(5), "e": -1}))
+@example(("CycInt ** e", operator.pow, {"z": CycInt.monomial(5, 1), "e": -1}))
 @example(("PadicElt ** e", operator.pow, {"z": PadicElt.one(5, 8), "e": -1}))
 def test_invalid_input_raises_library_error(call):
     name, fn, args = call

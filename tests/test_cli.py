@@ -15,12 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ikdeg import (
-    CycInt, bounds_check, charsum, cli, ff, get_field, ik_degree, ik_formula_scaled, kernels,
-    run_case_analysis,
-)
+from ikdeg import CycInt, charsum, cli, ff, get_field, ik_degree, kernels
+from ikdeg.charsum import bounds_check, ik_formula_scaled
 from ikdeg.cli import CSV_FIELDS, _fmt_cell, _value_json, main, parse_args
 from ikdeg.errors import InvalidParameters
+from ikdeg.padic import run_case_analysis
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

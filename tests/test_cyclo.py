@@ -12,15 +12,13 @@ from ikdeg import (
     change_conductor,
     cyclotomic_poly,
     embed_all,
-    embed_complex,
     galois_apply,
     get_field,
-    lower_conductor,
     scaled_ik_at_p,
 )
 from ikdeg import kernels
 from ikdeg.errors import InvalidParameters
-from ikdeg.cyclo import _complex_roots, poly_rem
+from ikdeg.cyclo import _complex_roots, embed_complex, lower_conductor, poly_rem
 from ikdeg.ff import is_prime
 from oracles import poly_divmod, poly_eval
 
@@ -51,15 +49,15 @@ def test_cyclotomic_poly_matches_division():
 
 def test_zeta_is_root_of_cyclotomic_poly():
     for m in range(1, 201):
-        assert poly_eval(cyclotomic_poly(m), CycInt.zeta(m)).is_zero()
+        assert poly_eval(cyclotomic_poly(m), CycInt.monomial(m, 1)).is_zero()
 
 
 def test_arithmetic_examples():
-    z3 = CycInt.zeta(3)
+    z3 = CycInt.monomial(3, 1)
     assert z3 + galois_apply(z3, 2) == CycInt.from_int(3, -1)
-    z4 = CycInt.zeta(4)
+    z4 = CycInt.monomial(4, 1)
     assert z4 * z4 == CycInt.from_int(4, -1)
-    z5 = CycInt.zeta(5)
+    z5 = CycInt.monomial(5, 1)
     one = CycInt.from_int(5, 1)
     prod = (one + z5) * (one + galois_apply(z5, 4))
     # 2 + z + z^4 reduces to 1 - z^2 - z^3
@@ -68,9 +66,11 @@ def test_arithmetic_examples():
 
 def test_conductor_mismatch():
     with pytest.raises(InvalidParameters, match="^conductors 3 and 4 differ$"):
-        CycInt.zeta(3) + CycInt.zeta(4)
+        CycInt.monomial(3, 1) + CycInt.monomial(4, 1)
     with pytest.raises(InvalidParameters, match="^4 does not divide 6$"):
-        change_conductor(CycInt.zeta(4), 6)
+        change_conductor(CycInt.monomial(4, 1), 6)
+    with pytest.raises(InvalidParameters, match="^6 coefficients for conductor 5: at most 5$"):
+        CycInt(5, range(6))
 
 
 def test_canonicalization_idempotent():
@@ -92,9 +92,9 @@ def test_canonical_is_the_remainder_mod_phi(m):
 def test_galois_examples():
     z = CycInt(7, [1, 2, 3, 4, 5, 6, 0])
     assert galois_apply(z, 1) == z
-    assert galois_apply(CycInt.zeta(3), 2).canonical() == (-1, -1, 0)
-    z5 = CycInt.zeta(5) + galois_apply(CycInt.zeta(5), 4)
-    assert galois_apply(z5, 2) == CycInt.zeta(5, 2) + CycInt.zeta(5, 3)
+    assert galois_apply(CycInt.monomial(3, 1), 2).canonical() == (-1, -1, 0)
+    z5 = CycInt.monomial(5, 1) + galois_apply(CycInt.monomial(5, 1), 4)
+    assert galois_apply(z5, 2) == CycInt.monomial(5, 2) + CycInt.monomial(5, 3)
 
 
 def test_galois_composition():
@@ -109,18 +109,18 @@ def test_galois_composition():
 
 def test_galois_noncoprime():
     with pytest.raises(InvalidParameters, match=r"^gcd\(2, 6\) != 1$"):
-        galois_apply(CycInt.zeta(6), 2)
+        galois_apply(CycInt.monomial(6, 1), 2)
 
 
 def test_embed_examples():
     v, err = embed_complex(CycInt.from_int(9, 5), 2)
     assert abs(v - 5) <= max(err, 1e-12)
-    v, _ = embed_complex(CycInt.zeta(4), 1)
+    v, _ = embed_complex(CycInt.monomial(4, 1), 1)
     assert abs(v - 1j) < 1e-12
-    v, _ = embed_complex(CycInt.zeta(3) - CycInt.zeta(3, 2), 1)
+    v, _ = embed_complex(CycInt.monomial(3, 1) - CycInt.monomial(3, 2), 1)
     assert abs(v - 1j * math.sqrt(3)) < 1e-12
     with pytest.raises(InvalidParameters, match=r"^gcd\(3, 6\) != 1$"):
-        embed_complex(CycInt.zeta(6), 3)
+        embed_complex(CycInt.monomial(6, 1), 3)
 
 
 def test_embed_complex_matches_per_coefficient_exp():
@@ -188,7 +188,7 @@ def test_embed_all_is_embed_complex_bit_for_bit_on_random_values():
         for _ in range(25):
             z = CycInt(m, [rng.choice((0, 0, rng.randrange(-10**12, 10**12))) for _ in range(m)])
             _assert_embed_all_is_embed_complex(z)
-        _assert_embed_all_is_embed_complex(CycInt.zero(m))
+        _assert_embed_all_is_embed_complex(CycInt(m))
         # cancelling terms: a partial sum returns to zero and must not turn -0.0
         _assert_embed_all_is_embed_complex(CycInt(m, [1, -1] + [0] * (m - 2)))
 
@@ -231,18 +231,18 @@ def test_change_then_lower_roundtrip():
 
 def test_lower_conductor_rejects_outsiders():
     with pytest.raises(InvalidParameters, match=r"^element is not in Z\[zeta_5\]$"):
-        lower_conductor(CycInt.zeta(15), 5)
+        lower_conductor(CycInt.monomial(15, 1), 5)
     with pytest.raises(InvalidParameters, match=r"^conductor split 4\*2 is not coprime$"):
-        lower_conductor(CycInt.zeta(8), 4)  # split 4*2 not coprime
+        lower_conductor(CycInt.monomial(8, 1), 4)  # split 4*2 not coprime
     with pytest.raises(InvalidParameters, match="^4 does not divide conductor 15$"):
-        lower_conductor(CycInt.zeta(15), 4)  # 4 does not divide 15
+        lower_conductor(CycInt.monomial(15, 1), 4)  # 4 does not divide 15
 
 
 def test_pow_and_shift():
-    z = CycInt.zeta(7)
+    z = CycInt.monomial(7, 1)
     assert z**7 == CycInt.from_int(7, 1)
     w = CycInt(7, [1, -2, 0, 3, 0, 0, 1])
-    assert w.shifted(3) == w * CycInt.zeta(7, 3)
+    assert w.shifted(3) == w * CycInt.monomial(7, 3)
     assert (w**3) == w * w * w
 
 
@@ -289,7 +289,7 @@ def test_pow_costs_log_plus_popcount_minus_one_products(monkeypatch):
         return convolve(a, b)
 
     monkeypatch.setattr(kernels, "cyclic_convolve", counted)
-    z = CycInt.zeta(7)
+    z = CycInt.monomial(7, 1)
     for e, products in ((0, 0), (1, 0), (7, 4)):
         calls.clear()
         assert z**e == (CycInt.from_int(7, 1) if e % 7 == 0 else z)

@@ -5,9 +5,7 @@ import pytest
 
 from ikdeg import (
     CycInt,
-    conjugate_set,
     degree_of,
-    equivariance_check,
     galois_apply,
     get_field,
     ik_degree,
@@ -17,29 +15,30 @@ from ikdeg import (
 )
 from ikdeg.errors import InvalidParameters
 from ikdeg.ff import is_prime
+from ikdeg.galois import conjugate_set, equivariance_check
 from ikdeg.suites import DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
 from oracles import poly_eval
 
 
 def test_conjugate_set_counts():
-    z = CycInt.zeta(7)
+    z = CycInt.monomial(7, 1)
     conjugates = conjugate_set(z)
     assert len(conjugates) == 6
-    assert conjugates[1] == CycInt.zeta(7, 2)  # sigma_2
+    assert conjugates[1] == CycInt.monomial(7, 2)  # sigma_2
     assert degree_of(z) == 6
     assert (7 - 1) // degree_of(z) == 1  # stabilizer order
     rational = CycInt.from_int(7, 5)
     assert degree_of(rational) == 1
     # z + z^-1 generates the real subfield: degree (p-1)/2
-    half = CycInt.zeta(11) + CycInt.zeta(11, 10)
+    half = CycInt.monomial(11, 1) + CycInt.monomial(11, 10)
     assert degree_of(half) == 5
 
 
 def test_conjugate_set_requires_prime_conductor():
     with pytest.raises(InvalidParameters, match="^conductor 6 is not prime$"):
-        conjugate_set(CycInt.zeta(6))
+        conjugate_set(CycInt.monomial(6, 1))
     with pytest.raises(InvalidParameters, match="^conductor 12 is not prime$"):
-        degree_of(CycInt.zeta(12))
+        degree_of(CycInt.monomial(12, 1))
 
 
 def _orbit_size(z):
@@ -94,18 +93,18 @@ def test_degree_of_matches_orbit_oracle():
     assert {(211, 210 // h) for h in range(1, 211) if 210 % h == 0} <= degrees
     for m in (1, 4, 6, 9, 12, 25):
         with pytest.raises(InvalidParameters, match=f"^conductor {m} is not prime$"):
-            degree_of(CycInt.zeta(m))
+            degree_of(CycInt.monomial(m, 1))
 
 
 def test_min_poly_examples():
     # minimal polynomial of zeta_5 is the 5th cyclotomic polynomial
-    assert min_poly(CycInt.zeta(5)) == (1, 1, 1, 1, 1)
+    assert min_poly(CycInt.monomial(5, 1)) == (1, 1, 1, 1, 1)
     # zeta_3: x^2 + x + 1
-    assert min_poly(CycInt.zeta(3)) == (1, 1, 1)
+    assert min_poly(CycInt.monomial(3, 1)) == (1, 1, 1)
     # rational integer: x - 4
     assert min_poly(CycInt.from_int(7, 4)) == (-4, 1)
     # golden-ratio relative: zeta_5 + zeta_5^4 satisfies x^2 + x - 1
-    assert min_poly(CycInt.zeta(5) + CycInt.zeta(5, 4)) == (-1, 1, 1)
+    assert min_poly(CycInt.monomial(5, 1) + CycInt.monomial(5, 4)) == (-1, 1, 1)
 
 
 def test_min_poly_vanishes_and_is_minimal():
@@ -128,7 +127,7 @@ def _orbit_product(z):
         orbit.setdefault(c.canonical(), c)
     coeffs = [CycInt.from_int(p, 1)]
     for c in orbit.values():
-        nxt = [CycInt.zero(p) for _ in range(len(coeffs) + 1)]
+        nxt = [CycInt(p) for _ in range(len(coeffs) + 1)]
         for i, a in enumerate(coeffs):
             nxt[i + 1] = nxt[i + 1] + a
             nxt[i] = nxt[i] - c * a
@@ -143,7 +142,7 @@ def _orbit_product(z):
 
 def test_min_poly_matches_orbit_product():
     values = [CycInt.from_int(p, c) for p, c in ((2, 3), (3, 0), (7, -4), (31, 10**12))]
-    values += [CycInt.zeta(p) for p in (2, 3, 5, 13, 31)]
+    values += [CycInt.monomial(p, 1) for p in (2, 3, 5, 13, 31)]
     for p in range(2, DEGREE_P_MAX + 1):
         if not is_prime(p):
             continue

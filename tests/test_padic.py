@@ -5,25 +5,28 @@ import pytest
 
 from ikdeg import (
     CycInt,
-    PadicElt,
     case_analysis,
-    embed_cyclotomic,
     exact_valuation,
     gauss_sum,
     get_field,
-    ik_formula_scaled,
-    run_case_analysis,
     scaled_ik_at_p,
     stickelberger_check,
-    teichmuller,
     valuation_formulas,
-    zeta_p_padic,
 )
 from ikdeg import kernels, padic
+from ikdeg.charsum import ik_formula_scaled
 from ikdeg.cyclo import map_exponents
 from ikdeg.errors import CheckFailed, IKDegError, InvalidParameters
 from ikdeg.ff import is_prime
-from ikdeg.padic import _embedded_scaled_ik, sigma_digit_sum
+from ikdeg.padic import (
+    PadicElt,
+    _embedded_scaled_ik,
+    embed_cyclotomic,
+    run_case_analysis,
+    sigma_digit_sum,
+    teichmuller,
+    zeta_p_padic,
+)
 from ikdeg.suites import (
     CASE_I_PAIRS,
     CASE_II_PAIRS,
@@ -136,14 +139,14 @@ def test_embed_cyclotomic_is_ring_map():
     p, prec = 7, default_precision(7)
     m = p * (p - 1)
     x = CycInt(m, [1 if i % 5 == 0 else 0 for i in range(m)])
-    y = CycInt.zeta(m, 11) - CycInt.from_int(m, 3)
+    y = CycInt.monomial(m, 11) - CycInt.from_int(m, 3)
     ex, ey = embed_cyclotomic(x, p, prec), embed_cyclotomic(y, p, prec)
     assert embed_cyclotomic(x + y, p, prec) == ex + ey
     assert embed_cyclotomic(x * y, p, prec) == ex * ey
     # zeta_p factor goes to the pinned root of unity
-    assert embed_cyclotomic(CycInt.zeta(p), p, prec) == zeta_p_padic(p, prec)
+    assert embed_cyclotomic(CycInt.monomial(p, 1), p, prec) == zeta_p_padic(p, prec)
     with pytest.raises(InvalidParameters, match="^conductor 4 does not divide 42$"):
-        embed_cyclotomic(CycInt.zeta(4), 7, prec)
+        embed_cyclotomic(CycInt.monomial(4, 1), 7, prec)
 
 
 def _per_term_embedding(z, p, prec):
@@ -176,7 +179,7 @@ def test_embed_matches_per_term_oracle(p):
                 ]
                 z = CycInt(m, coeffs)
                 assert embed_cyclotomic(z, p, prec) == _per_term_embedding(z, p, prec)
-        assert embed_cyclotomic(CycInt.zero(p), p, prec) == PadicElt.zero(p, prec)
+        assert embed_cyclotomic(CycInt(p), p, prec) == PadicElt.zero(p, prec)
 
 
 def test_embed_at_conductor_p_equals_embed_at_p_times_q1():
@@ -426,7 +429,7 @@ def test_exact_valuation_matches_padic_route_on_random_values(p):
     rng = random.Random(p)
     certified_count = 0
     for prec in (2 * (p - 1), default_precision(p), 3 * default_precision(p)):
-        values = [CycInt.zero(p), CycInt(p, [rng.randint(-9, 9)] * p)]  # zero, two ways
+        values = [CycInt(p), CycInt(p, [rng.randint(-9, 9)] * p)]  # zero, two ways
         for _ in range(40):
             scale = p ** rng.choice((0, 1, 2))
             coeffs = [scale * rng.randint(-50, 50) if rng.random() < 0.7 else 0 for _ in range(p)]
@@ -441,7 +444,7 @@ def test_exact_valuation_matches_padic_route_on_random_values(p):
         assert exact_valuation(values[0]) is None and exact_valuation(values[1]) is None
     assert certified_count > 0
     with pytest.raises(InvalidParameters, match=f"^conductor {4 * p} is not prime$"):
-        exact_valuation(CycInt.zeta(4 * p))
+        exact_valuation(CycInt.monomial(4 * p, 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
@@ -467,7 +470,7 @@ def test_exact_valuation_on_lambda_adic_grid_matches_padic_route(p):
                     assert _certified_valuation(embed_cyclotomic(rep, p, prec)) == v
                     checked += 1
     assert checked == 3 * (p - 1) * len(units) * 2
-    for zero in (CycInt.zero(p), CycInt(p, [rng.randint(1, 9)] * p)):
+    for zero in (CycInt(p), CycInt(p, [rng.randint(1, 9)] * p)):
         assert exact_valuation(zero) is None
 
 
@@ -513,7 +516,7 @@ def test_exact_valuation_closed_form_and_full_taylor_shift(p):
         scale = p ** rng.choice((0, 1, 2, 3))
         z = CycInt(p, [scale * rng.randint(-50, 50) if rng.random() < 0.7 else 0 for _ in range(p)])
         assert exact_valuation(z) == _taylor_shift_valuation(z), z
-    for zero in (CycInt.zero(p), CycInt(p, [rng.randint(1, 9)] * p), CycInt(p, [p**3] * p)):
+    for zero in (CycInt(p), CycInt(p, [rng.randint(1, 9)] * p), CycInt(p, [p**3] * p)):
         assert exact_valuation(zero) is None
 
 

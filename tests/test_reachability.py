@@ -5,7 +5,10 @@ and reports the functions of ikdeg (module functions, methods, properties
 and cached functions, each by the code object in its own module's file)
 that it never entered. Each of them must be in UNREACHED with its reason,
 and each entry of UNREACHED must still be unreached, so the list only
-shrinks: code that only the tests run cannot grow back unnoticed.
+shrinks: code that only the tests run cannot grow back unnoticed. No
+function that ikdeg.__all__ exports may be among the unreached: the
+package root is what the commands run, and the tests' oracles are
+imported from their own modules.
 
 Run as a script (`python tests/test_reachability.py OUT_DIR`, with src on
 PYTHONPATH) it is that child and prints its report as JSON.
@@ -19,6 +22,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -134,10 +139,7 @@ UNREACHED = {
     "ff.Field.one": "called by ff.FieldElt.__pow__",
     "ff.Field.trace": "called by charsum.additive_char, charsum.s1_identity_check",
     "ff.FieldElt._check": "called by ff.FieldElt.__add__, ff.FieldElt.__sub__, ff.FieldElt.__mul__",
-    "cyclo.CycInt.monomial": (
-        "called by charsum.additive_char, charsum.mult_char, charsum.s1_identity_check, cyclo.CycInt.zeta"
-    ),
-    "cyclo.CycInt.zero": "called by charsum.s1_identity_check",
+    "cyclo.CycInt.monomial": "called by charsum.additive_char, charsum.mult_char, charsum.s1_identity_check",
     "padic.PadicElt._check": "called by padic.PadicElt.__add__, padic.PadicElt.__sub__, padic.PadicElt.__mul__",
     "padic.PadicElt._normalize": "called by padic.PadicElt.__init__",
     "padic.PadicElt.from_int": "called by padic.teichmuller, padic.PadicElt.__add__",
@@ -148,7 +150,6 @@ UNREACHED = {
     "padic._exponent_split": "called by padic.embed_cyclotomic",
     "cli.run": "the console entry point: it exits the process, so the commands run cli.main",
     "ff.Field.zero": "the tests' and oracles' zero element",
-    "cyclo.CycInt.zeta": "the tests' roots of unity",
 }
 
 
@@ -193,22 +194,43 @@ def _child(out_dir):
     return {"codes": codes, "defined": sorted(defined.values()), "unreached": unreached}
 
 
-def _report(tmp_path):
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, __file__, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, __file__, str(tmp_path_factory.mktemp("out"))],
+        capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_every_function_is_entered_by_a_command_or_allowlisted(tmp_path):
-    report = _report(tmp_path)
+def _exported():
+    """The functions ikdeg.__all__ names, as the report names them; a class
+    counts by its own __init__."""
+    import ikdeg
+
+    out = []
+    for name in ikdeg.__all__:
+        obj = getattr(ikdeg, name)
+        fn = _unwrap(vars(obj).get("__init__") if isinstance(obj, type) else obj)
+        if hasattr(fn, "__code__"):
+            out.append(f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__qualname__}")
+    return out
+
+
+def test_every_function_is_entered_by_a_command_or_allowlisted(report):
     assert [c for c in report["codes"] if c[1] != c[2]] == []
     unreached = set(report["unreached"])
     assert sorted(unreached - set(UNREACHED)) == [], "no command enters these"
     assert sorted(set(UNREACHED) - unreached) == [], "allowlisted, but reached or gone"
     assert len(report["defined"]) > len(UNREACHED)
+
+
+def test_the_package_root_exports_only_what_a_command_enters(report):
+    exported = _exported()
+    assert sorted(set(exported) - set(report["defined"])) == []
+    assert sorted(set(exported) & set(report["unreached"])) == [], "exported, but no command enters them"
 
 
 def test_each_allowlist_reason_holds():
