@@ -2,31 +2,27 @@
 
 Two exact routes to the inverted sum are provided. The counting route
 tallies the (q-1)^n unit tuples by their sum, with a recursion on sums
-and products that uses only field addition and discrete logs: at most
-count_work(q, n) additions, and a count over COUNT_LIMIT is refused.
-It is the independent witness. The Gauss-sum formula, the object under
-test, is a sum over characters of relabelled copies rho_m of one term in
-Z[zeta_{p(q-1)}]; `ik_formula_scaled` states it literally, while
+and products that uses only field addition and discrete logs: each of its
+n steps is two cyclic convolutions of length q-1, and a field keeps the
+two b-free rows of each n. It is the independent witness. The Gauss-sum
+formula, the object under test, is a sum over characters of relabelled
+copies rho_m of one term in Z[zeta_{p(q-1)}]; `ik_formula_scaled` states
+it literally, while
 `scaled_ik_values` reads all q-1 values of one (q, n) in Z[zeta_p] off
 that one term, since the sum of rho_m over all m is (q-1) times the
-zeta_{q-1}-free row. A field keeps the powers of its Gauss sum and the
-tuple of values of each n it was asked for; `scaled_ik_at_p` is one
-entry of that tuple.
+zeta_{q-1}-free row. A field keeps the powers of its Gauss sum, the
+tuple of values of each n it was asked for and the two rows of each n it
+counted; `scaled_ik_at_p` is one entry of that tuple.
 Identities involving 1/(q(q-1)) are kept in scaled form so that
 everything stays inside a ring with decidable equality.
 """
 
 from math import gcd
 
+from . import kernels
 from .cyclo import CycInt, _evaluate, _root_row, embed_all, galois_apply, map_exponents
 from .errors import CheckFailed, InvalidParameters
 from .ff import Field, FieldElt
-
-# The counting route's limit on additions. It exceeds count_work at every
-# (q, n), q >= 3, whose (q-1)^n <= 2 000 000 tuples an earlier tuple budget
-# admitted: the largest is 4 001 620, at q-1 = 1414 and n = 2.
-COUNT_LIMIT = 2**22
-
 
 def additive_char(F: Field, x) -> CycInt:
     """psi(x) = zeta_p^Tr(x), at conductor p."""
@@ -66,41 +62,13 @@ def _check_ik_args(F: Field, n: int, b) -> FieldElt:
     return b
 
 
-def count_work(q: int, n: int) -> int:
-    """The additions of _brute_counts at most: each of its n+1 steps
-    spreads row s = 1 over q-1 shifts twice, and that row has no entry for
-    D_0, one for D_1 and at most q-1 after that."""
-    return 2 * (q - 1) * (1 + (n - 1) * (q - 1))
-
-
-def over_budget(q: int, n: int) -> bool:
-    """Whether counting IK_n(q, b) would take over COUNT_LIMIT additions."""
-    return count_work(q, n) > COUNT_LIMIT
-
-
-def _enumeration_guard(F: Field, n: int, b) -> FieldElt:
-    """Refuse a count that is over_budget."""
-    b = _check_ik_args(F, n, b)
-    if over_budget(F.q, n):
-        raise InvalidParameters(f"counting takes {count_work(F.q, n)} additions, over the limit {COUNT_LIMIT}")
-    return b
-
-
-def _add_rotations(acc: list, row: list, shifts) -> list:
-    """acc[i] plus row[i - d] for each d in shifts, with 0 <= d < len(row).
-
-    Only the nonzero entries of row are spread, so the cost is the number
-    of shifts times the number of those entries.
-    """
-    q1 = len(row)
-    acc = list(acc)
-    nonzero = [(i, r) for i, r in enumerate(row) if r]
-    if not nonzero:  # nothing to spread: leave the shifts unread
-        return acc
+def _spread(row: list, shifts) -> list:
+    """Entry i is the sum of row[i - d] over d in shifts, 0 <= d < len(row):
+    the cyclic convolution of row with the multiplicities of shifts."""
+    mult = [0] * len(row)
     for d in shifts:
-        for i, r in nonzero:
-            acc[(i + d) % q1] += r
-    return acc
+        mult[d] += 1
+    return kernels.cyclic_convolve(row, mult)
 
 
 def _brute_counts(F: Field, n: int, b):
@@ -112,25 +80,31 @@ def _brute_counts(F: Field, n: int, b):
     with sum s and product g^j; then D_k(s, j) is the sum over units g^c
     of D_(k-1)(s - g^c, j - c). Scaling a tuple by a unit a gives
     D_k(a s, j + k dlog a) = D_k(s, j), so the rows s = 0 and s = 1 hold
-    all of D_k, and a step spreads each nonzero entry of row s = 1 of
-    D_(k-1) over q-1 shifts through the logs of 1 - g^c. That row is empty
-    for D_0 and has one entry for D_1, so n = 1 costs O(q) and the whole
-    count at most count_work(q, n) additions.
-    Only dlog and field addition enter: no character or cyclotomic value.
+    all of D_k, and a step convolves row s = 1 of D_(k-1) with the
+    multiplicities of q-1 shifts, read through the logs of 1 - g^c. The
+    n steps from D_1 cost 2n cyclic convolutions of length q-1, once per
+    (F, n): the field keeps both rows of D_(n+1), and each b reads them in
+    O(q). Only dlog and field addition enter: no character or cyclotomic
+    value.
     """
     q1 = F.q - 1
-    neg_one = F.dlog(F.elt(-1))
-    log_one_minus = F._log_one_minus_powers()  # 1 - g^c = g^(log_one_minus[c - 1])
-    zero_row, one_row = [1] + [0] * (q1 - 1), [0] * q1  # D_0 counts the empty tuple
-    for k in range(1, n + 2):
-        # D_(k-1)(g^e, i) = one_row[i - (k-1) e]. For s = 1 the unit g^0
-        # leaves s - g^0 = 0; for s = 0, s - g^c = g^(c + neg_one).
-        from_one = ((c + (k - 1) * e) % q1 for c, e in enumerate(log_one_minus, 1))
-        from_zero = ((k * c + (k - 1) * neg_one) % q1 for c in range(q1))
-        zero_row, one_row = (
-            _add_rotations([0] * q1, one_row, from_zero),
-            _add_rotations(zero_row, one_row, from_one),
-        )
+    key = ("counts", n)
+    rows = F._cache.get(key)
+    if rows is None:
+        neg_one = F.dlog(F.elt(-1))
+        log_one_minus = F._log_one_minus_powers()  # 1 - g^c = g^(log_one_minus[c - 1])
+        zero_row, one_row = [0] * q1, [1] + [0] * (q1 - 1)  # D_1 counts the tuple (1)
+        for k in range(2, n + 2):
+            # D_(k-1)(g^e, i) = one_row[i - (k-1) e]. For s = 1 the unit g^0
+            # leaves s - g^0 = 0; for s = 0, s - g^c = g^(c + neg_one).
+            from_one = ((c + (k - 1) * e) % q1 for c, e in enumerate(log_one_minus, 1))
+            from_zero = ((k * c + (k - 1) * neg_one) % q1 for c in range(q1))
+            zero_row, one_row = (
+                _spread(one_row, from_zero),
+                [z + r for z, r in zip(zero_row, _spread(one_row, from_one))],
+            )
+        rows = F._cache[key] = (zero_row, one_row)
+    zero_row, one_row = rows
     beta = F.dlog(b)
     # D_(n+1)(g^c, beta) = D_(n+1)(1, beta - (n+1) c)
     return zero_row[beta], [one_row[(beta - (n + 1) * c) % q1] for c in range(q1)]
@@ -139,7 +113,7 @@ def _brute_counts(F: Field, n: int, b):
 def kloosterman_brute(F: Field, n: int, b) -> CycInt:
     """K_n(q, b) at conductor p, from the counts of unit tuples by sum
     (_brute_counts)."""
-    b = _enumeration_guard(F, n, b)
+    b = _check_ik_args(F, n, b)
     zero, by_log = _brute_counts(F, n, b)
     counts = [zero] + [0] * (F.p - 1)  # Tr(0) = 0
     for c, count in enumerate(by_log):
@@ -150,7 +124,7 @@ def kloosterman_brute(F: Field, n: int, b) -> CycInt:
 def inverted_kloosterman_brute(F: Field, n: int, b) -> CycInt:
     """IK_n(q, b) at conductor p, from the counts of unit tuples by sum;
     the empty sum is 0."""
-    b = _enumeration_guard(F, n, b)
+    b = _check_ik_args(F, n, b)
     counts = [0] * F.p
     for c, count in enumerate(_brute_counts(F, n, b)[1]):
         counts[F._trace_of_power(-c)] += count  # 1/g^c = g^(-c)

@@ -127,6 +127,8 @@ def cmd_verify(args) -> int:
         p_max = _first(args.p, args.p_max, suites.DEGREE_P_MAX)
         n_max = _first(args.n, args.n_max, suites.DEGREE_N_MAX)
         ok, lines = suites.degree_suite(p_max, n_max)
+    elif args.suite == "divisibility":
+        ok, lines = suites.divisibility_suite()
     elif args.suite == "stickelberger":
         p_max = _first(args.p_max, suites.STICKELBERGER_PRIMES[-1])
         primes = [q for q in suites.STICKELBERGER_PRIMES if q <= p_max]
@@ -220,6 +222,7 @@ def cmd_sum(args) -> int:
 COMMANDS = {
     "verify identity": "--p --n",
     "verify degree": "--p|--p-max --n|--n-max",  # --p and --n are maxima
+    "verify divisibility": "",
     "verify stickelberger": "--p|--p-max",
     "verify cases": "",
     "verify bounds": "",

@@ -12,8 +12,7 @@ class IKDegError(Exception):
 
 
 class InvalidParameters(IKDegError):
-    """An argument the call does not accept, or a count over
-    charsum.COUNT_LIMIT additions."""
+    """An argument the call does not accept."""
 
 
 class CheckFailed(IKDegError):

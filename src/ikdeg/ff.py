@@ -154,8 +154,9 @@ class Field:
 
     p, k, q, the modulus, the generator and the discrete-log table are fixed
     at construction. _cache grows as charsum reads the field: it keeps each
-    power G^e of the Gauss sum and each n's tuple of scaled values, and the
-    traces of the basis are computed on first use.
+    power G^e of the Gauss sum, each n's tuple of scaled values and each
+    n's two rows of tuple counts, and the traces of the basis are computed
+    on first use.
     """
 
     def __init__(self, p: int, k: int = 1):

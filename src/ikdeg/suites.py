@@ -6,7 +6,7 @@ parameters.
 
 from math import gcd
 
-from .charsum import COUNT_LIMIT, inverted_kloosterman_brute, orbit_bounds, over_budget, scaled_ik_values
+from .charsum import inverted_kloosterman_brute, orbit_bounds, scaled_ik_values
 from .errors import InvalidParameters
 from .ff import get_field, is_prime
 from .galois import degree_bound, ik_degree
@@ -30,23 +30,17 @@ def _primes_upto(n):
 
 
 def identity_suite(p=None, n=None):
-    """Oracle equivalence: q(q-1) * brute == formula, exact, in Z[zeta_p];
-    a case whose count is over_budget is skipped."""
+    """Oracle equivalence: q(q-1) * brute == formula, exact, in Z[zeta_p]."""
     primes = list(IDENTITY_PRIMES) if p is None else [p]
     ns = list(IDENTITY_NS) if n is None else [n]
     for pp in primes:
         if not is_prime(pp):
             raise InvalidParameters(f"{pp} is not prime")
-    if all(over_budget(pp, nn) for pp in primes for nn in ns):
-        raise InvalidParameters(f"the count limit {COUNT_LIMIT} skips every identity case")
     lines = []
     ok = True
     for pp in primes:
         F = get_field(pp)
         for nn in ns:
-            if over_budget(pp, nn):
-                lines.append(f"identity p={pp} n={nn}: skipped (budget)")
-                continue
             values = scaled_ik_values(F, nn)
             bad = []
             for b in F.units():

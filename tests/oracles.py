@@ -23,6 +23,19 @@ def brute_distribution(F, n: int, b) -> dict:
     return {s: count for s, count in dist.items() if count}
 
 
+def _add_rotations(acc: list, row: list, shifts) -> list:
+    """acc[i] plus row[i - d] for each d in shifts, with 0 <= d < len(row):
+    the counting route's step by hand, one addition per shift and nonzero
+    entry of row."""
+    q1 = len(row)
+    acc = list(acc)
+    nonzero = [(i, r) for i, r in enumerate(row) if r]
+    for d in shifts:
+        for i, r in nonzero:
+            acc[(i + d) % q1] += r
+    return acc
+
+
 def teichmuller_residue(z: CycInt, p: int, g: int) -> CycInt:
     """z in Z[zeta_m], m | p(p-1), with zeta_{p-1} replaced by the integer
     g, in Z[zeta_p], through the CRT split of exponents. With T = g mod p

@@ -20,15 +20,14 @@ from ikdeg import (
     scaled_ik_at_p,
 )
 from ikdeg.charsum import (
-    COUNT_LIMIT, _brute_counts, _character_terms, _relabel, additive_char, bounds_check, count_work,
-    galois_orbits, ik_formula_scaled, kloosterman_brute, mult_char, orbit_bounds, over_budget,
-    s1_identity_check, scaled_ik_values,
+    _brute_counts, _character_terms, _relabel, additive_char, bounds_check, galois_orbits, ik_formula_scaled,
+    kloosterman_brute, mult_char, orbit_bounds, s1_identity_check, scaled_ik_values,
 )
 from ikdeg.cyclo import embed_complex, lower_conductor
 from ikdeg.errors import CheckFailed, InvalidParameters
 from ikdeg.ff import is_prime
 from ikdeg.suites import BOUND_SLACK, DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
-from oracles import brute_distribution
+from oracles import _add_rotations, brute_distribution
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -115,7 +114,8 @@ def test_brute_distribution_matches_enumeration():
 
 
 def test_brute_distribution_n1_is_linear_in_q():
-    """For n = 1 the counting spreads one nonzero entry per step, O(q) in all.
+    """For n = 1 the count is two cyclic convolutions of length q-1, near
+    linear in q.
 
     At q = 65537 that is about a second with the field build; spreading
     every entry of each row would be about 4 q^2 = 1.7e10 additions.
@@ -171,7 +171,7 @@ def test_scaled_ik_at_p_conductor():
     z = scaled_ik_at_p(F, 1, F.one)
     assert z.m == 5
     assert 20 * inverted_kloosterman_brute(F, 1, F.one) == z
-    # memoised per (n, b) on the field
+    # read off one tuple of values per n, kept on the field
     assert scaled_ik_at_p(F, 1, 1) is z
     assert scaled_ik_at_p(F, 2, 1) is not z
 
@@ -183,56 +183,36 @@ def test_s1_identity():
             assert s1_identity_check(F, n)
 
 
-def test_count_work_bounds_the_additions(monkeypatch):
-    # every addition of _brute_counts is one shift of one nonzero entry in _add_rotations
-    spread = charsum._add_rotations
-    additions = []
-
-    def counted(acc, row, shifts):
-        shifts = list(shifts)
-        additions.append(sum(1 for r in row if r) * len(shifts))
-        return spread(acc, row, shifts)
-
-    monkeypatch.setattr(charsum, "_add_rotations", counted)
+def test_each_counting_step_is_the_oracles_addition():
+    # the convolutions of step n + 1 take the kept rows of D_n to those of
+    # D_(n+1), as the oracle's additions do
     fields = [(p, 1) for p in range(2, 32) if is_prime(p)]
     fields += [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]  # q = 4, 8, 9, 16, 25, 27
     for p, k in fields:
         F = get_field(p, k)
+        q1 = F.q - 1
+        neg_one = F.dlog(F.elt(-1))
+        log_one_minus = F._log_one_minus_powers()
+        _brute_counts(F, 0, F.one)  # keeps the rows of D_1 as ("counts", 0)
         for n in range(1, 7):
-            additions.clear()
+            zero_row, one_row = F._cache[("counts", n - 1)]
+            from_one = [(c + n * e) % q1 for c, e in enumerate(log_one_minus, 1)]
+            from_zero = [((n + 1) * c + n * neg_one) % q1 for c in range(q1)]
+            want = (_add_rotations([0] * q1, one_row, from_zero), _add_rotations(zero_row, one_row, from_one))
             _brute_counts(F, n, F.one)
-            assert sum(additions) <= count_work(F.q, n), (F.q, n)
-            if n == 1:  # one entry, over the q-1 shifts from s = 0 and the q-2 from s = 1
-                assert sum(additions) == count_work(F.q, n) - 1 == 2 * F.q - 3
-
-
-@pytest.mark.parametrize("m,n", [(2_000_000, 1), (1414, 2), (125, 3), (2, 20)])
-def test_over_budget_admits_every_count_of_the_old_tuple_budget(m, n):
-    # (m, n) is the largest m, and (m+1, n) the largest q, with m^n <= 2 000 000
-    assert m**n <= 2_000_000 < (m + 1) ** n
-    assert not over_budget(m + 1, n)
-
-
-def test_count_limit_edges():
-    assert count_work(1415, 2) == 4_001_620 < COUNT_LIMIT
-    assert over_budget(2003, 2)
-    # at q = 2 the work is 2n
-    assert not over_budget(2, 2**21) and over_budget(2, 2**21 + 1)
+            assert F._cache[("counts", n)] == want, (F.q, n)
 
 
 def test_budget_and_zero_guards():
     F = get_field(13)
-    F2003 = get_field(2003)
-    with pytest.raises(InvalidParameters, match="^counting takes 8020012 additions, over the limit 4194304$"):
-        inverted_kloosterman_brute(F2003, 2, F2003.one)
-    with pytest.raises(InvalidParameters, match="^counting takes 8020012 additions, over the limit 4194304$"):
-        kloosterman_brute(F2003, 2, F2003.one)
     with pytest.raises(InvalidParameters, match="^parameter b must be nonzero$"):
         ik_formula_scaled(F, 1, F.zero)
     with pytest.raises(InvalidParameters, match="^dimension n must be >= 1$"):
         ik_formula_scaled(F, 0, F.one)
     with pytest.raises(InvalidParameters, match="^parameter b must be nonzero$"):
         kloosterman_brute(F, 1, F.zero)
+    with pytest.raises(InvalidParameters, match="^dimension n must be >= 1$"):
+        inverted_kloosterman_brute(F, 0, F.one)
 
 
 def test_bounds_report():

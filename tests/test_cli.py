@@ -36,24 +36,12 @@ def test_verify_identity_single(capsys):
     assert "identity p=5 n=1: ok" in out
 
 
-def test_verify_identity_budget_skipping_everything_exits_2(capsys):
-    # counting at q = 2003, n = 2 takes 8 020 012 additions
-    code, out, err = run_cli(capsys, "verify", "identity", "--p", "2003", "--n", "2")
-    assert code == 2
-    assert out == ""
-    assert err == "error: the count limit 4194304 skips every identity case\n"
-
-
-def test_verify_identity_partial_budget_skip(capsys, monkeypatch):
-    # the work at p = 13 is 24, 312 and 600 additions for n = 1, 2, 3
-    monkeypatch.setattr(charsum, "COUNT_LIMIT", 100)
-    code, out, _ = run_cli(capsys, "verify", "identity", "--p", "13")
+def test_verify_divisibility_prints_the_divisibility_lines_of_verify_all(capsys):
+    code, out, _ = run_cli(capsys, "verify", "divisibility")
     assert code == 0
-    assert out.splitlines() == [
-        "identity p=13 n=1: ok (12 values of b)",
-        "identity p=13 n=2: skipped (budget)",
-        "identity p=13 n=3: skipped (budget)",
-    ]
+    _, everything, _ = run_cli(capsys, "verify", "all")
+    want = [line for line in everything.splitlines() if line.startswith("divisibility ")]
+    assert len(want) == 10 and out.splitlines() == want
 
 
 # The three ways to start the CLI; each goes through cli.run().
@@ -341,7 +329,7 @@ def test_fields_keep_only_gauss_powers_and_value_tuples(fresh_fields, capsys):
     for F in fresh_fields.values():
         assert F._cache
         for key in F._cache:
-            assert key[0] in ("gauss_power", "values") and len(key) == 2, (F, key)
+            assert key[0] in ("gauss_power", "values", "counts") and len(key) == 2, (F, key)
             if key[0] == "values":
                 assert isinstance(charsum.scaled_ik_values(F, key[1]), tuple)
 
@@ -397,14 +385,15 @@ def test_sum_zero_b(capsys):
     assert code == 2
 
 
-def test_sum_budget_exceeded(capsys):
-    code, out, err = run_cli(capsys, "sum", "--p", "2003", "--n", "2", "--b", "1", "--path", "brute")
-    assert (code, out) == (2, "")
-    assert err == "error: counting takes 8020012 additions, over the limit 4194304\n"
+@pytest.mark.parametrize("p,k", [(2, 12), (3, 7)])  # q = 4096, 2187
+def test_sum_counts_what_the_count_limit_refused(capsys, p, k):
+    code, out, err = run_cli(capsys, "sum", "--p", str(p), "--k", str(k), "--n", "2", "--b", "1", "--path", "both")
+    assert (code, err) == (0, "")
+    assert "paths agree: True" in out.splitlines()
 
 
 def test_sum_counts_what_the_tuple_budget_refused(capsys):
-    # (q-1)^n = 24 300 000 tuples, but count_work(31, 5) = 7 260 additions
+    # (q-1)^n = 24 300 000 tuples, but 10 convolutions of length 30
     code, out, err = run_cli(capsys, "sum", "--p", "31", "--n", "5", "--b", "1", "--path", "both")
     assert (code, err) == (0, "")
     assert "paths agree: True" in out.splitlines()
@@ -614,6 +603,7 @@ READS = {
     ("sum",): ("--p", "--k", "--n", "--b", "--path"),
     ("verify", "identity"): ("--p", "--n"),
     ("verify", "degree"): ("--p", "--p-max", "--n", "--n-max"),
+    ("verify", "divisibility"): (),
     ("verify", "stickelberger"): ("--p", "--p-max"),
     ("verify", "cases"): (),
     ("verify", "bounds"): (),
@@ -703,7 +693,7 @@ def test_parser_reads_what_argparse_read(argv, want):
         ([], "the following arguments are required: command"),
         (["verify"], "the following arguments are required: suite"),
         (["verify", "x"], "argument suite: invalid choice: 'x' "
-         "(choose from 'identity', 'degree', 'stickelberger', 'cases', 'bounds', 'all')"),
+         "(choose from 'identity', 'degree', 'divisibility', 'stickelberger', 'cases', 'bounds', 'all')"),
         (["sum", "--p", "5", "--x", "a\nb", "c\r\nd"], "unrecognized arguments: --x a b c d"),
     ],
 )

@@ -62,6 +62,19 @@ def test_divisibility_suite_fails_on_a_degree_that_does_not_divide(monkeypatch, 
     assert lines[-1] == "all suites: FAIL"
 
 
+def test_verify_divisibility_exits_1_on_a_fail(monkeypatch, capsys):
+    real = suites.ik_degree
+
+    def non_divisor_at_4(F, n, b):
+        return 2 if (F.q, n, b.serialize()) == (4, 1, "1:0") else real(F, n, b)
+
+    monkeypatch.setattr(suites, "ik_degree", non_divisor_at_4)
+    code, lines = _verify(capsys, "divisibility")
+    assert code == 1
+    assert lines[0] == "divisibility q=4 n=1: FAIL at b in ['1:0']"
+    assert len(lines) == 10 and all(line.endswith(")") for line in lines[1:])
+
+
 def test_bounds_suite_fails_on_a_lhs_above_its_rhs(monkeypatch, capsys):
     real = suites.orbit_bounds
 
