@@ -1,26 +1,31 @@
 """Characters, Gauss sums, and Kloosterman sums (classical and inverted).
 
-Two exact routes to the inverted sum are provided. The counting route
-tallies the (q-1)^n unit tuples by their sum, with a recursion on sums
-and products that uses only field addition and discrete logs: each of its
-n steps is two cyclic convolutions of length q-1, and a field keeps the
-two b-free rows of each n. It is the independent witness. The Gauss-sum
-formula, the object under test, is a sum over characters of relabelled
-copies rho_m of one term in Z[zeta_{p(q-1)}]; `ik_formula_scaled` states
-it literally, while
-`scaled_ik_values` reads all q-1 values of one (q, n) in Z[zeta_p] off
-that one term, since the sum of rho_m over all m is (q-1) times the
-zeta_{q-1}-free row. A field keeps the powers of its Gauss sum, the
-tuple of values of each n it was asked for and the two rows of each n it
-counted; `scaled_ik_at_p` is one entry of that tuple.
+Two exact routes to the inverted sum are provided, and every command
+except `verify identity` and `sum --path formula|both` reads the first.
+The counting route tallies the (q-1)^n unit tuples by their sum, with a
+recursion on sums and products that uses only field addition and
+discrete logs: each of its n steps is two cyclic convolutions of length
+q-1, and a field keeps the two b-free rows of each n. One row, counted
+once per (q, n), serves every b: `scaled_ik_values` reads all q-1 values
+of a (q, n) in Z[zeta_p] off it, and `scaled_ik_at_p` is one entry of
+that tuple. The Gauss-sum formula is the second, independent route: a
+sum over characters of relabelled copies rho_m of one term in
+Z[zeta_{p(q-1)}]. `ik_formula_scaled` states it literally, while
+`scaled_ik_formula` reads one value in Z[zeta_p] off that term, since
+the sum of rho_m over all m is (q-1) times the zeta_{q-1}-free row. A
+field keeps the powers of its Gauss sum, and for each n it was asked
+for the count's rows, the tuple of values and the formula's term.
 Identities involving 1/(q(q-1)) are kept in scaled form so that
 everything stays inside a ring with decidable equality.
 """
 
+import operator
+import os
+from itertools import repeat
 from math import gcd
 
 from . import kernels
-from .cyclo import CycInt, _evaluate, _root_row, embed_all, galois_apply, map_exponents
+from .cyclo import CycInt, _evaluate, _root_row, embed_all, map_exponents
 from .errors import CheckFailed, InvalidParameters
 from .ff import Field, FieldElt
 
@@ -71,6 +76,38 @@ def _spread(row: list, shifts) -> list:
     return kernels.cyclic_convolve(row, mult)
 
 
+def _count_rows(F: Field, n: int) -> tuple:
+    """The rows s = 0 and s = 1 of D_(n+1) (see _brute_counts), kept per
+    field as ("counts", n); ("counts", 0) is D_1, which counts the tuple
+    (1).
+
+    It steps, in a loop, from the largest n kept below the one asked for,
+    and keeps every row it passes: a census of n = 1 .. N costs two cyclic
+    convolutions of length q-1 per n.
+    """
+    cache, q1 = F._cache, F.q - 1
+    kept = n
+    while kept > 0 and ("counts", kept) not in cache:
+        kept -= 1
+    if kept == 0 and ("counts", 0) not in cache:
+        cache[("counts", 0)] = ([0] * q1, [1] + [0] * (q1 - 1))
+    zero_row, one_row = cache[("counts", kept)]
+    if kept < n:
+        neg_one = F.dlog(F.elt(-1))
+        log_one_minus = F._log_one_minus_powers()  # 1 - g^c = g^(log_one_minus[c - 1])
+        for k in range(kept + 2, n + 2):
+            # D_(k-1)(g^e, i) = one_row[i - (k-1) e]. For s = 1 the unit g^0
+            # leaves s - g^0 = 0; for s = 0, s - g^c = g^(c + neg_one).
+            from_one = ((c + (k - 1) * e) % q1 for c, e in enumerate(log_one_minus, 1))
+            from_zero = ((k * c + (k - 1) * neg_one) % q1 for c in range(q1))
+            zero_row, one_row = (
+                _spread(one_row, from_zero),
+                [z + r for z, r in zip(zero_row, _spread(one_row, from_one))],
+            )
+            cache[("counts", k - 1)] = (zero_row, one_row)
+    return zero_row, one_row
+
+
 def _brute_counts(F: Field, n: int, b):
     """Count unit tuples by s = x_1 + ... + x_n + b/(x_1 ... x_n): returns
     (N_0, N) with N_0 the count at s = 0 and N[c] the count at s = g^c.
@@ -82,29 +119,12 @@ def _brute_counts(F: Field, n: int, b):
     D_k(a s, j + k dlog a) = D_k(s, j), so the rows s = 0 and s = 1 hold
     all of D_k, and a step convolves row s = 1 of D_(k-1) with the
     multiplicities of q-1 shifts, read through the logs of 1 - g^c. The
-    n steps from D_1 cost 2n cyclic convolutions of length q-1, once per
-    (F, n): the field keeps both rows of D_(n+1), and each b reads them in
-    O(q). Only dlog and field addition enter: no character or cyclotomic
-    value.
+    steps run once per (F, n) (_count_rows), and each b reads the rows of
+    D_(n+1) in O(q). Only dlog and field addition enter: no character or
+    cyclotomic value.
     """
     q1 = F.q - 1
-    key = ("counts", n)
-    rows = F._cache.get(key)
-    if rows is None:
-        neg_one = F.dlog(F.elt(-1))
-        log_one_minus = F._log_one_minus_powers()  # 1 - g^c = g^(log_one_minus[c - 1])
-        zero_row, one_row = [0] * q1, [1] + [0] * (q1 - 1)  # D_1 counts the tuple (1)
-        for k in range(2, n + 2):
-            # D_(k-1)(g^e, i) = one_row[i - (k-1) e]. For s = 1 the unit g^0
-            # leaves s - g^0 = 0; for s = 0, s - g^c = g^(c + neg_one).
-            from_one = ((c + (k - 1) * e) % q1 for c, e in enumerate(log_one_minus, 1))
-            from_zero = ((k * c + (k - 1) * neg_one) % q1 for c in range(q1))
-            zero_row, one_row = (
-                _spread(one_row, from_zero),
-                [z + r for z, r in zip(zero_row, _spread(one_row, from_one))],
-            )
-        rows = F._cache[key] = (zero_row, one_row)
-    zero_row, one_row = rows
+    zero_row, one_row = _count_rows(F, n)
     beta = F.dlog(b)
     # D_(n+1)(g^c, beta) = D_(n+1)(1, beta - (n+1) c)
     return zero_row[beta], [one_row[(beta - (n + 1) * c) % q1] for c in range(q1)]
@@ -190,37 +210,76 @@ def ik_formula_scaled(F: Field, n: int, b) -> CycInt:
     return total
 
 
+# Bytes per coefficient that _check_fits charges a table: the value tables
+# of F_401 and F_1009 kept 24 (a tuple slot and its int), those of F_4096
+# and F_2187 more.
+_COEFF_BYTES = 24
+
+
+def _check_fits(F: Field) -> None:
+    """Raise InvalidParameters unless (q-1)*p coefficients, the size of a
+    (q, n)'s value table and of the formula's term 1, fit in memory at
+    _COEFF_BYTES each: in the address-space limit (RLIMIT_AS) when one is
+    set, else in physical memory. Without it, census --p 100003 would fill
+    about 10^10 coefficients one value at a time before failing."""
+    import resource  # only here: every other command would pay its import
+
+    need = (F.q - 1) * F.p
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    where = "the address-space limit"
+    if limit == resource.RLIM_INFINITY:
+        limit, where = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "physical memory"
+    if need * _COEFF_BYTES > limit:
+        raise InvalidParameters(
+            f"q = {F.q} needs (q-1)*p = {need} coefficients, about "
+            f"{need * _COEFF_BYTES / 2**30:.3g} GiB, over {where} of {limit / 2**30:.3g} GiB"
+        )
+
+
+def _canonical(p: int, coeffs) -> CycInt:
+    """The element of Z[zeta_p] with these coefficients, in canonical form:
+    the last one is taken off every one."""
+    z = CycInt(p, map(operator.sub, coeffs, repeat(coeffs[-1])))
+    z._canon = z.coeffs
+    return z
+
+
 def scaled_ik_values(F: Field, n: int) -> tuple:
     """q(q-1) * IK_n(q, g^j) in Z[zeta_p], reduced, for j = 0 .. q-2: the
-    values of one (F, n) in dlog order, read off term 1 once and kept per
+    values of one (F, n) in dlog order, read off the count and kept per
     field.
 
-    Summed over m = 0 .. q-2, rho_m(x) is (q-1) times the row of x free of
-    zeta_{q-1}, so the formula's sum over m = 1 .. q-2 is
-    (q-1) * row_0(T_b) - rho_0(T_b), T_b term 1 times zeta_{q-1}^(dlog b).
-    Exponents split by CRT:
-    zeta_{p(q-1)}^e = zeta_p^(e/(q-1) mod p) * zeta_{q-1}^(e/p mod q-1).
+    With D = D_(n+1)(1, .) (_count_rows),
+    IK_n(q, g^j) = sum over c of zeta_p^Tr(g^-c) * D[j - (n+1) c], so the
+    coefficient of zeta_p^t gathers D over the trace class of t. Over F_p
+    each class t != 0 is the one c = -dlog t, and a value is one gather of
+    the row rotated by j; class 0 is empty. Over F_q, q > p, column t of
+    every value is the cyclic convolution of D with the multiplicities of
+    (n+1) c over class t: p convolutions of length q-1.
     """
     if n < 1:
         raise InvalidParameters("dimension n must be >= 1")
     key = ("values", n)
     values = F._cache.get(key)
     if values is None:
+        _check_fits(F)
         p, q1 = F.p, F.q - 1
-        big_m = p * q1
-        term = _character_terms(F, n)
-        t = term.coeffs
-        # rho_0 sends zeta_{q-1} to 1, so rho_0(T_b) = rho_0(T) for every b
-        rho0 = map_exponents(term, pow(q1, -1, p), p).coeffs
-        const = -(q1 ** (n + 1)) + (-1) ** (n + 1)
-        values = []
-        for j in range(q1):
-            # T_b, b = g^j, is free of zeta_{q-1} where T has zeta_{q-1}^(-j)
-            row = p * (-j % q1)
-            out = [q1 * t[(q1 * a + row) % big_m] - r for a, r in enumerate(rho0)]
-            out[0] += const
-            values.append(CycInt(p, out).reduced())
-        values = F._cache[key] = tuple(values)
+        scale, row = F.q * q1, _count_rows(F, n)[1]
+        if F.k == 1:
+            # class t != 0, c = -dlog t, reads D[j + (n+1) dlog t]: entry
+            # (n+1) dlog t of the row rotated by j; class 0 reads the 0
+            # appended after it
+            at = [(n + 1) * F.dlog_table[(t,)] % q1 for t in range(1, p)]
+            gather = operator.itemgetter(q1, *at)
+            row = [scale * x for x in row]
+            columns = (gather(row[j:] + row[:j] + [0]) for j in range(q1))
+        else:
+            mult = [[0] * q1 for _ in range(p)]
+            for c in range(q1):
+                mult[F._trace_of_power(-c)][(n + 1) * c % q1] += 1
+            # scaled after the convolutions, whose slots then stay narrow
+            columns = zip(*[[scale * x for x in kernels.cyclic_convolve(row, m)] for m in mult])
+        values = F._cache[key] = tuple([_canonical(p, c) for c in columns])
     return values
 
 
@@ -229,6 +288,57 @@ def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:
     scaled_ik_values(F, n)."""
     b = _check_ik_args(F, n, b)
     return scaled_ik_values(F, n)[F.dlog(b)]
+
+
+def _formula_parts(F: Field, n: int) -> tuple:
+    """(term 1's coefficients, rho_0(term 1)'s coefficients, the constant)
+    of the scaled formula, kept per field as ("formula", n)."""
+    key = ("formula", n)
+    parts = F._cache.get(key)
+    if parts is None:
+        _check_fits(F)
+        p, q1 = F.p, F.q - 1
+        term = _character_terms(F, n)
+        # rho_0 sends zeta_{q-1} to 1, so rho_0(T_b) = rho_0(T) for every b
+        rho0 = map_exponents(term, pow(q1, -1, p), p).coeffs
+        parts = F._cache[key] = (term.coeffs, rho0, -(q1 ** (n + 1)) + (-1) ** (n + 1))
+    return parts
+
+
+def scaled_ik_formula(F: Field, n: int, b) -> CycInt:
+    """q(q-1) * IK_n(q, b) in Z[zeta_p], reduced, by the Gauss-sum formula:
+    the second route, which `verify identity` and `sum --path formula|both`
+    compare with the count. Term 1 and rho_0 are kept per (F, n), and a b
+    costs O(p).
+
+    Summed over m = 0 .. q-2, rho_m(x) is (q-1) times the row of x free of
+    zeta_{q-1}, so the formula's sum over m = 1 .. q-2 is
+    (q-1) * row_0(T_b) - rho_0(T_b), T_b term 1 times zeta_{q-1}^(dlog b).
+    Exponents split by CRT:
+    zeta_{p(q-1)}^e = zeta_p^(e/(q-1) mod p) * zeta_{q-1}^(e/p mod q-1).
+
+    Term 1 must be the unreduced group-ring product (_character_terms):
+    rho_m is a ring map of Z[x]/(x^(p(q-1)) - 1), but not mod Phi when
+    gcd(m, q-1) > 1. So no representative built from an identity mod Phi
+    serves. Jacobi sums give term 1 = q * C * G(chi^-(n+1)) with
+    C = prod over a = 1 .. n of J(chi^a, chi), exactly in Z[zeta_{p(q-1)}]
+    (Ireland and Rosen, A Classical Introduction to Modern Number Theory,
+    ch. 8); read through that representative, the values differed at
+    every n >= 2 on 7 fields, and through term.reduced() at every (q, n)
+    tried. Hasse-Davenport falls into the same trap. C is the count's row
+    in character form, J(chi, ..., chi) = sum over j of D_(n+1)(1, j) *
+    chi(g^j), which is why the count and the formula are two readings of
+    one object.
+    """
+    b = _check_ik_args(F, n, b)
+    t, rho0, const = _formula_parts(F, n)
+    p, q1 = F.p, F.q - 1
+    big_m = p * q1
+    # T_b is free of zeta_{q-1} where T has zeta_{q-1}^(-dlog b)
+    row = p * (-F.dlog(b) % q1)
+    out = [q1 * t[(q1 * a + row) % big_m] - r for a, r in enumerate(rho0)]
+    out[0] += const
+    return CycInt(p, out).reduced()
 
 
 def s1_identity_check(F: Field, n: int) -> bool:
@@ -296,13 +406,20 @@ def galois_orbits(F: Field, n: int):
     return F.pow_of_generator(d).coeffs[0], step, gcd(step, q1)
 
 
-def _check_orbits(F: Field, n: int, a: int, step: int, values: list) -> None:
+def _check_orbits(F: Field, n: int, a: int, step: int, canon: list) -> None:
     """Raise CheckFailed unless sigma_a(z_j) = z_(j - step) for every j
-    (galois_orbits), compared exactly: CycInt equality reads canonical
-    forms, so any representative of z_j passes."""
-    q1 = F.q - 1
-    for j, z in enumerate(values):
-        if galois_apply(z, a) != values[(j - step) % q1]:
+    (galois_orbits), compared exactly on the canonical tuples canon[j].
+
+    sigma_a moves coefficient e to a*e mod p, so sigma_a(z_j) gathers
+    c[a^-1 f mod p] at f: one itemgetter serves every j. The gathered
+    tuple is made canonical by taking its last entry off every entry.
+    """
+    p, q1 = F.p, F.q - 1
+    inverse = pow(a, -1, p)
+    gather = operator.itemgetter(*[inverse * f % p for f in range(p)])
+    for j, c in enumerate(canon):
+        moved = gather(c)
+        if tuple(map(operator.sub, moved, repeat(moved[-1]))) != canon[(j - step) % q1]:
             raise CheckFailed(
                 f"sigma_{a}(IK_{n}({F.q}, {F.pow_of_generator(j).serialize()})) is not "
                 f"IK_{n}({F.q}, {F.pow_of_generator(j - step).serialize()}) (bug)"
@@ -354,7 +471,7 @@ def orbit_bounds(F: Field, n: int, values: list) -> list:
         raise InvalidParameters("the window's error bound needs p < 2^20")
     a, step, orbits = galois_orbits(F, n)
     canon = [z.canonical() for z in values]
-    _check_orbits(F, n, a, step, values)
+    _check_orbits(F, n, a, step, canon)
     scale, rhs1, rhs2, shift1, shift2 = _bound_terms(F, n)
     rows = {1: _root_row(p, 1)}  # the rows of other a are built when first read
     firsts = [_evaluate(c, rows[1]) / scale for c in canon]

@@ -8,7 +8,7 @@ import sys
 from types import SimpleNamespace
 
 from . import suites
-from .charsum import galois_orbits, inverted_kloosterman_brute, orbit_bounds, scaled_ik_at_p, scaled_ik_values
+from .charsum import galois_orbits, inverted_kloosterman_brute, orbit_bounds, scaled_ik_formula, scaled_ik_values
 from .cyclo import change_conductor, embed_all
 from .errors import CheckFailed, InvalidParameters
 from .ff import Field, get_field, is_prime
@@ -193,7 +193,7 @@ def cmd_sum(args) -> int:
         value = inverted_kloosterman_brute(F, n, b)
         print(f"brute IK_{n}({q}, {b.serialize()}) = {_value_json(value)}")
     if args.path in ("formula", "both"):
-        z_p = scaled_ik_at_p(F, n, b)
+        z_p = scaled_ik_formula(F, n, b)
         wide = change_conductor(z_p, F.p * (q - 1))
         print(
             f"formula {q * (q - 1)}*IK_{n}({q}, {b.serialize()}) = "
@@ -205,7 +205,12 @@ def cmd_sum(args) -> int:
             agree = q * (q - 1) * value == z_p
             print(f"paths agree: {agree}")
             code = 0 if agree else 1
-    embeddings, err = embed_all(value)  # one error bound serves every j
+    try:
+        embeddings, err = embed_all(value)  # one error bound serves every j
+    except OverflowError:
+        raise InvalidParameters(
+            f"the embeddings of IK_{n}({q}, {b.serialize()}) lie past the float range"
+        ) from None
     for j, c in embeddings.items():
         c /= scale
         print(f"embedding j={j}: {c.real:.12g}{c.imag:+.12g}i (err <= {err:.3g})")

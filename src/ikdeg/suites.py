@@ -6,7 +6,7 @@ parameters.
 
 from math import gcd
 
-from .charsum import inverted_kloosterman_brute, orbit_bounds, scaled_ik_values
+from .charsum import inverted_kloosterman_brute, orbit_bounds, scaled_ik_formula, scaled_ik_values
 from .errors import InvalidParameters
 from .ff import get_field, is_prime
 from .galois import degree_bound, ik_degree
@@ -30,7 +30,8 @@ def _primes_upto(n):
 
 
 def identity_suite(p=None, n=None):
-    """Oracle equivalence: q(q-1) * brute == formula, exact, in Z[zeta_p]."""
+    """The two routes agree: q(q-1) * count == Gauss-sum formula, exact,
+    in Z[zeta_p], for every b."""
     primes = list(IDENTITY_PRIMES) if p is None else [p]
     ns = list(IDENTITY_NS) if n is None else [n]
     for pp in primes:
@@ -41,11 +42,10 @@ def identity_suite(p=None, n=None):
     for pp in primes:
         F = get_field(pp)
         for nn in ns:
-            values = scaled_ik_values(F, nn)
             bad = []
             for b in F.units():
                 brute = inverted_kloosterman_brute(F, nn, b)
-                if pp * (pp - 1) * brute != values[F.dlog(b)]:
+                if pp * (pp - 1) * brute != scaled_ik_formula(F, nn, b):
                     bad.append(b.serialize())
             if bad:
                 ok = False

@@ -21,11 +21,12 @@ from ikdeg import (
 )
 from ikdeg.charsum import (
     _brute_counts, _character_terms, _relabel, additive_char, bounds_check, galois_orbits, ik_formula_scaled,
-    kloosterman_brute, mult_char, orbit_bounds, s1_identity_check, scaled_ik_values,
+    _COEFF_BYTES, _check_fits, _count_rows, kloosterman_brute, mult_char, orbit_bounds, s1_identity_check, scaled_ik_formula,
+    scaled_ik_values,
 )
 from ikdeg.cyclo import embed_complex, lower_conductor
 from ikdeg.errors import CheckFailed, InvalidParameters
-from ikdeg.ff import is_prime
+from ikdeg.ff import Field, is_prime
 from ikdeg.suites import BOUND_SLACK, DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
 from oracles import _add_rotations, brute_distribution
 
@@ -201,6 +202,53 @@ def test_each_counting_step_is_the_oracles_addition():
             want = (_add_rotations([0] * q1, one_row, from_zero), _add_rotations(zero_row, one_row, from_one))
             _brute_counts(F, n, F.one)
             assert F._cache[("counts", n)] == want, (F.q, n)
+
+
+def test_count_rows_step_in_a_loop_from_the_largest_kept_n():
+    # 1500 steps, past Python's recursion limit; the rows do not depend on
+    # where the loop started, and every unit 1501-tuple is counted once:
+    # the rows s = g^e are rotations of row s = 1
+    fresh, halves = Field(5), Field(5)
+    zero_row, one_row = _count_rows(fresh, 1500)
+    _count_rows(halves, 750)
+    assert ("counts", 1499) not in halves._cache
+    assert _count_rows(halves, 1500) == (zero_row, one_row)
+    assert sorted(key[1] for key in halves._cache) == list(range(1501))
+    assert sum(zero_row) + 4 * sum(one_row) == 4**1501
+
+
+def _fields_up_to(q_max):
+    return [(p, k) for p in range(2, q_max + 1) if is_prime(p) for k in range(1, 9) if p**k <= q_max]
+
+
+@pytest.mark.parametrize("p,k", _fields_up_to(256))
+def test_count_equals_the_formula_coefficient_for_coefficient(p, k):
+    # the census's values, read off the count, against the Gauss-sum
+    # formula's reading of each b; F_2's gather reads two entries
+    F = get_field(p, k)
+    for n in range(1, 5):
+        values = scaled_ik_values(F, n)
+        assert len(values) == F.q - 1
+        for j, z in enumerate(values):
+            formula = scaled_ik_formula(F, n, F.pow_of_generator(j))
+            assert z.coeffs == z.canonical() == formula.coeffs, (F.q, n, j)
+
+
+def test_check_fits_reads_the_address_space_limit_else_physical_memory(monkeypatch):
+    import resource
+
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    capped = {resource.RLIMIT_AS: (2**30, 2**30)}
+    monkeypatch.setattr(resource, "getrlimit", lambda which: capped.get(which, unlimited))
+    _check_fits(SimpleNamespace(p=6007, q=6007))  # 36 078 042 coefficients, 0.81 GiB
+    with pytest.raises(InvalidParameters, match=r"over the address-space limit of 1 GiB$"):
+        _check_fits(SimpleNamespace(p=7001, q=7001))
+    monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
+    _check_fits(SimpleNamespace(p=7001, q=7001))
+    side = int((physical / _COEFF_BYTES) ** 0.5)  # (q-1)p just past physical memory
+    with pytest.raises(InvalidParameters, match=r"over physical memory of "):
+        _check_fits(SimpleNamespace(p=side + 2, q=side + 2))
 
 
 def test_budget_and_zero_guards():

@@ -10,6 +10,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -293,33 +294,79 @@ def fresh_fields(monkeypatch):
     return fields
 
 
-def test_census_reads_rho0_once_and_one_gauss_product_per_power(
-    fresh_fields, monkeypatch, capsys
-):
-    fields = fresh_fields
-    maps, products = [], []
+def _count_calls(monkeypatch):
+    """Record each map_exponents call as (m, M), each cyclic convolution by
+    its length and each gauss_sum and _character_terms call."""
+    calls = {"maps": [], "convolutions": [], "gauss_sum": [], "_character_terms": []}
     map_exponents, convolve = charsum.map_exponents, kernels.cyclic_convolve
 
     def counted_map(z, k, big_m):
-        maps.append((z.m, big_m))
+        calls["maps"].append((z.m, big_m))
         return map_exponents(z, k, big_m)
 
     def counted_convolve(a, b):
-        products.append(len(a))
+        calls["convolutions"].append(len(a))
         return convolve(a, b)
 
     monkeypatch.setattr(charsum, "map_exponents", counted_map)
     monkeypatch.setattr(kernels, "cyclic_convolve", counted_convolve)
+    for name in ("gauss_sum", "_character_terms"):
+        original = getattr(charsum, name)
+
+        def recorded(*args, name=name, original=original):
+            calls[name].append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(charsum, name, recorded)
+    return calls
+
+
+def test_census_reads_the_count_with_two_convolutions_per_p_and_n(fresh_fields, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch)
     code, out, _ = run_cli(capsys, *"census --p 3 --p-max 13 --n 1 --n-max 4".split())
     assert code == 0 and len(out.splitlines()) == 1 + 4 * (2 + 4 + 6 + 10 + 12)
     primes = (3, 5, 7, 11, 13)
-    assert sorted(fields) == [(p, 1) for p in primes]
-    # rho_0 maps conductor p(p-1) down to p; the relabelling keeps it
-    assert sorted(big for m, big in maps if big < m) == sorted(p for p in primes for _ in range(4))
-    assert sum(1 for m, big in maps if big == m) == 4 * len(primes)
-    # per field: g^2 = g*g, then g^(n+1) = g^n * g for n = 2, 3, 4, and one
-    # product per n for term 1
-    assert sorted(products) == sorted(p * (p - 1) for p in primes for _ in range(8))
+    assert sorted(fresh_fields) == [(p, 1) for p in primes]
+    # each n steps once from the rows of n - 1: two convolutions of length
+    # p - 1, and over F_p the values are gathered off the row
+    assert sorted(calls["convolutions"]) == sorted(p - 1 for p in primes for _ in range(2 * 4))
+    assert calls["maps"] == calls["gauss_sum"] == calls["_character_terms"] == []
+
+
+def test_verify_identity_reads_rho0_once_and_one_gauss_product_per_power(fresh_fields, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "identity")
+    assert code == 0 and len(out.splitlines()) == 5 * 3
+    primes = (3, 5, 7, 11, 13)
+    assert sorted(fresh_fields) == [(p, 1) for p in primes]
+    # per (p, n): rho_0 maps conductor p(p-1) down to p once, and the
+    # relabelling keeps it once
+    maps = calls["maps"]
+    assert sorted(big for m, big in maps if big < m) == sorted(p for p in primes for _ in range(3))
+    assert sum(1 for m, big in maps if big == m) == 3 * len(primes)
+    # per field: g^2 = g*g, then g^(n+1) = g^n * g for n = 2, 3, and one
+    # product per n for term 1; the count beside it steps twice per n
+    want = [length for p in primes for length in (p * (p - 1), p - 1) for _ in range(6)]
+    assert sorted(calls["convolutions"]) == sorted(want)
+    assert sorted(calls["gauss_sum"]) == [(1,)] * len(primes)
+    assert len(calls["_character_terms"]) == 3 * len(primes)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "census --p 3 --p-max 13 --n 1 --n-max 3",
+        "census --p 2 --p-max 3 --k 2 --n 1 --n-max 2",
+        "verify degree --p 13",
+        "verify cases",
+        "verify divisibility",
+        "verify bounds",
+    ],
+)
+def test_the_census_and_count_suites_never_build_a_gauss_sum(fresh_fields, monkeypatch, capsys, argv):
+    calls = _count_calls(monkeypatch)
+    assert run_cli(capsys, *argv.split())[0] == 0
+    assert calls["gauss_sum"] == calls["_character_terms"] == []
 
 
 def test_fields_keep_only_gauss_powers_and_value_tuples(fresh_fields, capsys):
@@ -329,9 +376,12 @@ def test_fields_keep_only_gauss_powers_and_value_tuples(fresh_fields, capsys):
     for F in fresh_fields.values():
         assert F._cache
         for key in F._cache:
-            assert key[0] in ("gauss_power", "values", "counts") and len(key) == 2, (F, key)
+            assert key[0] in ("gauss_power", "values", "counts", "formula") and len(key) == 2, (F, key)
             if key[0] == "values":
                 assert isinstance(charsum.scaled_ik_values(F, key[1]), tuple)
+            if key[0] == "formula":  # term 1, rho_0(term 1) and the constant
+                term, rho0, const = F._cache[key]
+                assert (len(term), len(rho0), type(const)) == (F.p * (F.q - 1), F.p, int)
 
 
 REFERENCE = json.loads((SRC.parent / "perfbench" / "reference.json").read_text())
@@ -565,7 +615,8 @@ def test_out_io_error(tmp_path, capsys):
         ["verify", "identity", "--n", "0"],
         ["verify", "stickelberger", "--p-max", "2"],
         ["verify", "stickelberger", "--p", "5", "--precision", "0"],
-        # Z[zeta_{p(q-1)}] would need 10^10 coefficients: MemoryError at once
+        # (q-1)p = 10^10 coefficients, for the formula's term 1 and for the
+        # census's values: refused before either is built
         ["sum", "--p", "100003", "--n", "1", "--b", "1"],
         ["census", "--p", "100003", "--n", "1"],
     ],
@@ -575,6 +626,46 @@ def test_invalid_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _run_capped(argv, limit):
+    """A child running the CLI on argv with its address space alone capped
+    at limit bytes: (exit code, stdout, stderr, seconds)."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    start = time.perf_counter()
+    proc = _run_child(["-m", "ikdeg", *argv.split()], preexec_fn=cap)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("argv", ["census --p 7001 --n 1", "sum --p 7001 --n 1 --b 1 --path formula"])
+def test_a_table_past_the_address_space_limit_is_refused_at_once(argv):
+    # (q-1)p = 49 007 000 coefficients, about 1.1 GiB: the child's 1 GiB
+    # address-space limit refuses them, not physical memory, and it does
+    # so before building any, which would take minutes
+    code, out, err, seconds = _run_capped(argv, 2**30)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: q = 7001 needs (q-1)*p = 49007000 coefficients, about 1.1 GiB, "
+        "over the address-space limit of 1 GiB\n"
+    )
+    assert seconds < 5
+
+
+def test_sum_at_n_1500_counts_in_a_loop_and_refuses_its_float_embeddings(capsys):
+    # the count steps 1500 times in a loop (a recursion would pass Python's
+    # limit of 1000 frames); IK is about 4^1500, past the float range
+    code, out, err = run_cli(capsys, *"sum --p 5 --n 1500 --b 1 --path brute".split())
+    assert code == 2
+    assert err == "error: the embeddings of IK_1500(5, 1) lie past the float range\n"
+    # the line the count printed when every n stepped from D_1 afresh
+    assert out.startswith("brute IK_1500(5, 1) = {") and out.count("\n") == 1
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "d7aa480d0c9fce418e805ebc14de26f6147b65bc24325ae0db829d0327c42ad1", 2532
+    )
 
 
 @pytest.mark.parametrize(

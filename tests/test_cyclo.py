@@ -12,13 +12,12 @@ from ikdeg import (
     change_conductor,
     cyclotomic_poly,
     embed_all,
-    galois_apply,
     get_field,
     scaled_ik_at_p,
 )
 from ikdeg import kernels
 from ikdeg.errors import InvalidParameters
-from ikdeg.cyclo import _complex_roots, embed_complex, lower_conductor, poly_rem
+from ikdeg.cyclo import _complex_roots, embed_complex, galois_apply, lower_conductor, poly_rem
 from ikdeg.ff import is_prime
 from oracles import poly_divmod, poly_eval
 

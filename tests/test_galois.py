@@ -6,13 +6,13 @@ import pytest
 from ikdeg import (
     CycInt,
     degree_of,
-    galois_apply,
     get_field,
     ik_degree,
     inverted_kloosterman_brute,
     min_poly,
     scaled_ik_at_p,
 )
+from ikdeg.cyclo import galois_apply
 from ikdeg.errors import InvalidParameters
 from ikdeg.ff import is_prime
 from ikdeg.galois import conjugate_set, equivariance_check

@@ -94,8 +94,10 @@ UNREACHED = {
             "charsum.s1_identity_check",
             "cyclo.CycInt.__add__",
             "cyclo.CycInt.__neg__",
+            "cyclo.CycInt.__pow__",
             "cyclo.CycInt.__rsub__",
             "cyclo.embed_complex",
+            "cyclo.galois_apply",
             "cyclo.lower_conductor",
             "ff.FieldElt.__add__",
             "ff.FieldElt.__mul__",
@@ -139,6 +141,7 @@ UNREACHED = {
     "ff.Field.one": "called by ff.FieldElt.__pow__",
     "ff.Field.trace": "called by charsum.additive_char, charsum.s1_identity_check",
     "ff.FieldElt._check": "called by ff.FieldElt.__add__, ff.FieldElt.__sub__, ff.FieldElt.__mul__",
+    "cyclo.CycInt.from_int": "called by cyclo.CycInt.__pow__, cyclo.CycInt.__add__, charsum.ik_formula_scaled",
     "cyclo.CycInt.monomial": "called by charsum.additive_char, charsum.mult_char, charsum.s1_identity_check",
     "padic.PadicElt._check": "called by padic.PadicElt.__add__, padic.PadicElt.__sub__, padic.PadicElt.__mul__",
     "padic.PadicElt._normalize": "called by padic.PadicElt.__init__",
