@@ -10,7 +10,7 @@ conjugate sets) are imported from their own modules.
 """
 
 from .charsum import gauss_sum, inverted_kloosterman_brute, scaled_ik_at_p
-from .cyclo import CycInt, change_conductor, cyclotomic_poly, embed_all
+from .cyclo import CycInt, cyclotomic_poly, embed_all
 from .ff import Field, FieldElt, get_field
 from .galois import degree_of, ik_degree, min_poly
 from .padic import CaseReport, case_analysis, exact_valuation, stickelberger_check, valuation_formulas
@@ -25,7 +25,6 @@ __all__ = [
     "inverted_kloosterman_brute",
     "scaled_ik_at_p",
     "CycInt",
-    "change_conductor",
     "cyclotomic_poly",
     "embed_all",
     "Field",

@@ -21,11 +21,10 @@ everything stays inside a ring with decidable equality.
 
 import operator
 import os
-from itertools import repeat
 from math import gcd
 
 from . import kernels
-from .cyclo import CycInt, _evaluate, _root_row, embed_all, map_exponents
+from .cyclo import CycInt, _evaluate, _root_row, embed_all, embedding_error, map_exponents, subtract_top
 from .errors import CheckFailed, InvalidParameters
 from .ff import Field, FieldElt
 
@@ -210,36 +209,65 @@ def ik_formula_scaled(F: Field, n: int, b) -> CycInt:
     return total
 
 
-# Bytes per coefficient that _check_fits charges a table: the value tables
-# of F_401 and F_1009 kept 24 (a tuple slot and its int), those of F_4096
-# and F_2187 more.
-_COEFF_BYTES = 24
+# Bytes that _check_fits charges one (q, n) at n = 1, measured as the growth
+# of VmPeak (/proc/self/status) from the built field to the end of
+# `census --p P --k K --n 1`, over q-1 (CPython 3.11, x86-64). Over F_p the
+# values share the count row's ints: 9.7, 32.3, 49.0 and 65.0 kB a value at
+# p = 401, 1009, 1511 and 2003. Over F_q, q > p, every coefficient is its own
+# int: 0.89-0.97 kB a value at q = 2^14 .. 2^18, 0.94-1.03 at 3^9 and 3^10,
+# 1.0 at 5^6, 1.15 at 7^5, 1.29 at 11^4, 1.36 at 13^4, 1.72 at 17^3, 2.90
+# at 31^3, 5.10 at 61^2 and 8.66 at 101^2. Each reading is below
+# _VALUE_BYTES plus p times the coefficient's bytes; at larger n the ints
+# widen (p = 1009, n = 4: 48.9 kB a value).
+_VALUE_BYTES = 1000  # the value, its bounds tuple, its census row and CSV line
+_COEFF_BYTES = 36  # a coefficient over F_p
+_OWN_COEFF_BYTES = 88  # a coefficient over F_q, q > p
+
+
+def _address_space() -> int:
+    """The bytes of this process's address space (VmSize), which
+    RLIMIT_AS caps; 0 where /proc/self/statm is missing. A raw read: the
+    census checks once per (q, n)."""
+    try:
+        fd = os.open("/proc/self/statm", os.O_RDONLY)
+    except OSError:
+        return 0
+    try:
+        return int(os.read(fd, 64).split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    finally:
+        os.close(fd)
 
 
 def _check_fits(F: Field) -> None:
-    """Raise InvalidParameters unless (q-1)*p coefficients, the size of a
-    (q, n)'s value table and of the formula's term 1, fit in memory at
-    _COEFF_BYTES each: in the address-space limit (RLIMIT_AS) when one is
-    set, else in physical memory. Without it, census --p 100003 would fill
-    about 10^10 coefficients one value at a time before failing."""
+    """Raise InvalidParameters unless the q-1 values of a (q, n), with p
+    coefficients each, fit in memory beside what the process holds, at
+    _VALUE_BYTES a value and _COEFF_BYTES or _OWN_COEFF_BYTES a
+    coefficient: in the address-space limit (RLIMIT_AS) when one is set,
+    else in physical memory. The formula's term 1 has as many
+    coefficients. Without it, census --p 100003 would fill about 10^10
+    coefficients one value at a time before failing."""
     import resource  # only here: every other command would pay its import
 
-    need = (F.q - 1) * F.p
+    q1, p = F.q - 1, F.p
+    need = q1 * (_VALUE_BYTES + p * (_COEFF_BYTES if F.q == p else _OWN_COEFF_BYTES))
+    held = _address_space()
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     where = "the address-space limit"
     if limit == resource.RLIM_INFINITY:
         limit, where = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "physical memory"
-    if need * _COEFF_BYTES > limit:
+    if held + need > limit:
         raise InvalidParameters(
-            f"q = {F.q} needs (q-1)*p = {need} coefficients, about "
-            f"{need * _COEFF_BYTES / 2**30:.3g} GiB, over {where} of {limit / 2**30:.3g} GiB"
+            f"q = {F.q} needs about {need / 2**30:.3g} GiB for {q1} values of {p} coefficients "
+            f"beside the {held / 2**30:.3g} GiB in use, over {where} of {limit / 2**30:.3g} GiB"
         )
 
 
 def _canonical(p: int, coeffs) -> CycInt:
-    """The element of Z[zeta_p] with these coefficients, in canonical form:
-    the last one is taken off every one."""
-    z = CycInt(p, map(operator.sub, coeffs, repeat(coeffs[-1])))
+    """The element of Z[zeta_p] with these coefficients, in canonical form
+    (subtract_top), which it keeps as its own. It skips __init__, whose
+    length check and copies these p coefficients do not need."""
+    z = CycInt.__new__(CycInt)
+    z.m, z.coeffs = p, subtract_top(coeffs)
     z._canon = z.coeffs
     return z
 
@@ -411,25 +439,35 @@ def _check_orbits(F: Field, n: int, a: int, step: int, canon: list) -> None:
     (galois_orbits), compared exactly on the canonical tuples canon[j].
 
     sigma_a moves coefficient e to a*e mod p, so sigma_a(z_j) gathers
-    c[a^-1 f mod p] at f: one itemgetter serves every j. The gathered
-    tuple is made canonical by taking its last entry off every entry.
+    c[a^-1 f mod p] at f: one itemgetter serves every j, and subtract_top
+    makes the gathered tuple canonical.
     """
     p, q1 = F.p, F.q - 1
     inverse = pow(a, -1, p)
     gather = operator.itemgetter(*[inverse * f % p for f in range(p)])
     for j, c in enumerate(canon):
-        moved = gather(c)
-        if tuple(map(operator.sub, moved, repeat(moved[-1]))) != canon[(j - step) % q1]:
+        if subtract_top(gather(c)) != canon[(j - step) % q1]:
             raise CheckFailed(
                 f"sigma_{a}(IK_{n}({F.q}, {F.pow_of_generator(j).serialize()})) is not "
                 f"IK_{n}({F.q}, {F.pow_of_generator(j - step).serialize()}) (bug)"
             )
 
 
-# Readings within this share of S/scale + |shift| of an orbit's maximum
-# estimate are read in full (orbit_bounds): eight times the error margin
-# that the proof there needs.
-_WINDOW = 2.0**-26
+# Readings within _WINDOW times their float error delta (bound_errors) of
+# an orbit's maximum estimate are read in full (orbit_bounds): eight times
+# the 4 delta that the proof there needs, and exactly the float 2^-26 B.
+_WINDOW = 32
+
+
+def bound_errors(F: Field, n: int, values) -> tuple:
+    """(delta1, delta2): the float error of every reading of both estimates
+    of bounds_check over values, the values of one (F, n). Each is
+    cyclo.embedding_error with B = S/scale + |shift|, S the largest sum
+    |c| of the values' canonical coefficients; delta2 is None when p
+    divides n+1."""
+    scale, _, _, shift1, shift2 = _bound_terms(F, n)
+    spread = max(sum(map(abs, z.canonical())) for z in values) / scale
+    return tuple(None if h is None else embedding_error(F.p, spread + abs(h)) for h in (shift1, shift2))
 
 
 def orbit_bounds(F: Field, n: int, values: list) -> list:
@@ -437,9 +475,9 @@ def orbit_bounds(F: Field, n: int, values: list) -> list:
 
     values[j] is z_j = scaled_ik_at_p(F, n, g^j), j = 0 .. q-2, each read
     through its canonical coefficients, so any representative of z_j gives
-    the same floats. Raises
-    InvalidParameters unless p < 2^20, which the proof below needs, and
-    CheckFailed unless sigma_a(z_j) = z_(j - step) exactly for every j
+    the same floats. Raises InvalidParameters unless p < 2^20, where the
+    float error delta of bound_errors is proven, and CheckFailed unless
+    sigma_a(z_j) = z_(j - step) exactly for every j
     (_check_orbits, galois_orbits). Then sigma_(a^t)(z_j) = z_(j - step t),
     so the embedding of z_j at zeta^(a^t) equals the first embedding (at
     zeta) of z_(j - step t): the q-1 first embeddings estimate every
@@ -447,24 +485,14 @@ def orbit_bounds(F: Field, n: int, values: list) -> list:
     a window W of the maximum estimate over the orbit are evaluated, with
     the floats of bounds_check. Each row serves both shifts.
 
-    Why the row of bounds_check's maximum is never left out. A reading of
-    z at row a is r = |fl(fl(sum_e c_e w_(ae)) / s) + h|, with s the
-    scale, h the float shift and w_k the table's e^(2 pi i k/p); its exact
-    value is R = |z(zeta^a)/s + h|. Let u = 2^-53, S the largest sum |c_e|
-    among the values and B = S/s + |h|. Each table root is within 2^-46 of
-    its true value (its argument takes at most three roundings, under
-    2^-48, and cos and sin are within an ulp); each product c_e w adds at
-    most 2u per part (int to float, one rounding); the recursive sum of p
-    terms adds at most sqrt(2) gamma_(p-1) sum |c_e w| (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, section 3.1, per part,
-    gamma_k = ku/(1 - ku) < 1.001 * 2^-33 for p < 2^20); division, the
-    addition of h and abs add at most 6uB. So |r - R| < 2^-31 B = delta
-    for every reading, estimates included. If a* gives the largest
-    reading r* of z_j and e_a is the estimate of row a, then
+    Why the row of bounds_check's maximum is never left out. Every reading
+    r_a of z_j at row a, estimates included, is within delta of its exact
+    value R_a (cyclo.embedding_error). If a* gives the largest reading r*
+    of z_j and e_a is the estimate of row a, then
     e_a <= R_a + delta <= r_a + 2 delta <= r* + 2 delta <= R_(a*) + 3 delta
     <= e_(a*) + 4 delta: e_(a*) lies within 4 delta = 2^-29 B, twice the
-    error of both readings, of the maximum estimate. W = 2^-26 B leaves
-    room for the rounding of W and of the comparison.
+    error of both readings, of the maximum estimate. W = 32 delta = 2^-26 B
+    leaves room for the rounding of W and of the comparison.
     """
     p, q1 = F.p, F.q - 1
     if p >= 2**20:
@@ -475,11 +503,12 @@ def orbit_bounds(F: Field, n: int, values: list) -> list:
     scale, rhs1, rhs2, shift1, shift2 = _bound_terms(F, n)
     rows = {1: _root_row(p, 1)}  # the rows of other a are built when first read
     firsts = [_evaluate(c, rows[1]) / scale for c in canon]
-    spread = max(sum(map(abs, c)) for c in canon) / scale
     near = set()  # indices whose first embedding can reach their orbit's maximum
-    for shift in (shift1,) if shift2 is None else (shift1, shift2):
+    for shift, delta in zip((shift1, shift2), bound_errors(F, n, values)):
+        if shift is None:
+            continue
         est = [abs(ik + shift) for ik in firsts]
-        window = _WINDOW * (spread + abs(shift))
+        window = _WINDOW * delta
         floors = [max(est[r::orbits]) - window for r in range(orbits)]
         near.update(i for i, e in enumerate(est) if e >= floors[i % orbits])
     # row a^t of z_j reads z_(j - step t) at zeta: it is kept when that index is near

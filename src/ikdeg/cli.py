@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 from . import suites
 from .charsum import galois_orbits, inverted_kloosterman_brute, orbit_bounds, scaled_ik_formula, scaled_ik_values
-from .cyclo import change_conductor, embed_all
+from .cyclo import embed_all
 from .errors import CheckFailed, InvalidParameters
 from .ff import Field, get_field, is_prime
 from .galois import degree_bound, degree_of, min_poly
@@ -194,11 +194,7 @@ def cmd_sum(args) -> int:
         print(f"brute IK_{n}({q}, {b.serialize()}) = {_value_json(value)}")
     if args.path in ("formula", "both"):
         z_p = scaled_ik_formula(F, n, b)
-        wide = change_conductor(z_p, F.p * (q - 1))
-        print(
-            f"formula {q * (q - 1)}*IK_{n}({q}, {b.serialize()}) = "
-            f"{_value_json(wide.reduced())}"
-        )
+        print(f"formula {q * (q - 1)}*IK_{n}({q}, {b.serialize()}) = {_value_json(z_p)}")
         if value is None:
             value, scale = z_p, q * (q - 1)
         else:
@@ -207,6 +203,7 @@ def cmd_sum(args) -> int:
             code = 0 if agree else 1
     try:
         embeddings, err = embed_all(value)  # one error bound serves every j
+        err /= scale  # delta of the printed value / scale: embedding_error(p, sum |c| / scale)
     except OverflowError:
         raise InvalidParameters(
             f"the embeddings of IK_{n}({q}, {b.serialize()}) lie past the float range"

@@ -7,8 +7,8 @@ cyclotomic polynomial happens lazily, on equality tests and output.
 """
 
 import operator
-import sys
 from functools import lru_cache, reduce
+from itertools import repeat
 from math import cos, gcd, pi, sin
 
 from . import kernels
@@ -31,6 +31,12 @@ def poly_rem(c, f) -> list:
                     rem[top + i] -= q * fc
         del rem[deg:]
     return rem
+
+
+def subtract_top(c) -> tuple:
+    """The canonical coefficients at a prime conductor p = len(c): c less
+    its last entry in every place, since Phi_p = 1 + x + ... + x^(p-1)."""
+    return tuple(map(operator.sub, c, repeat(c[-1])))
 
 
 def power(x, e: int, one, mul):
@@ -130,9 +136,8 @@ class CycInt:
         if self._canon is None:
             m, c = self.m, self.coeffs
             phi = cyclotomic_poly(m)
-            if len(phi) == m:  # m prime: Phi_m = 1 + x + ... + x^(m-1)
-                top = c[-1]
-                self._canon = tuple([x - top for x in c])
+            if len(phi) == m:  # m prime
+                self._canon = subtract_top(c)
             else:
                 rem = poly_rem(c, phi)
                 self._canon = tuple(rem + [0] * (m - len(rem)))
@@ -312,18 +317,43 @@ def _evaluate(coeffs, row) -> complex:
     return reduce(operator.add, map(operator.mul, coeffs, row), 0j)
 
 
-def _error_bound(coeffs) -> float:
-    return 8 * sum(map(abs, coeffs)) * sys.float_info.epsilon
+def embedding_error(m: int, bound) -> float:
+    """delta = 2^-31 * B: the proven float error of every embedding that
+    _evaluate reads off the table of roots at a conductor m < 2^20, for
+    B = S/s + |h| as below. Raises InvalidParameters when m >= 2^20, where
+    the proof stops.
+
+    A reading of z = sum c_e zeta_m^e at row j, scaled by s > 0 and
+    shifted by a float h, is r = fl(fl(sum_e c_e w_(je)) / s) + h, or its
+    absolute value, with w_k the table's e^(2 pi i k/m); its exact value is
+    R = z(zeta_m^j)/s + h, or its absolute value. embed_all and
+    embed_complex read s = 1 and h = 0. Let u = 2^-53, S >= sum |c_e| and
+    B = S/s + |h|. Each table root is within 2^-46 of its true value (its
+    argument takes at most three roundings, under 2^-48, and cos and sin
+    are within an ulp); each product c_e w adds at most 2u per part (int to
+    float, one rounding); the recursive sum of m terms adds at most
+    sqrt(2) gamma_(m-1) sum |c_e w| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 3.1, per part,
+    gamma_k = ku/(1 - ku) < 1.001 * 2^-33 for m < 2^20); division, the
+    addition of h and abs add at most 6uB. So |r - R| < 2^-31 B = delta
+    for every reading. The terms add up to under 2^-32 B, so delta also
+    covers a few more roundings of size u B, such as those of comparing
+    r + delta with a float bound near B.
+    """
+    if m >= 2**20:
+        raise InvalidParameters(f"the float error bound needs a conductor below 2^20, not {m}")
+    return bound * 2.0**-31
 
 
 def embed_all(z: CycInt):
     """Every complex embedding of z in one pass: ({j: value}, error_bound)
-    over j coprime to m, ascending. The bound 8 * sum |c| * eps is the
-    same for every j, so it is computed once."""
+    over j coprime to m, ascending. The bound, embedding_error of
+    sum |c|, is the same for every j, so it is computed once."""
     m, c = z.m, z.coeffs
+    err = embedding_error(m, sum(map(abs, c)))  # first: it refuses m >= 2^20
     # each row is built, read and dropped: O(m) memory at a wide conductor
     # such as p(q-1)
-    return {j: _evaluate(c, _root_row(m, j)) for j in range(m) if gcd(j, m) == 1}, _error_bound(c)
+    return {j: _evaluate(c, _root_row(m, j)) for j in range(m) if gcd(j, m) == 1}, err
 
 
 def embed_complex(z: CycInt, j: int):
@@ -331,4 +361,5 @@ def embed_complex(z: CycInt, j: int):
     embedding of embed_all, with the same floats."""
     if gcd(j, z.m) != 1:
         raise InvalidParameters(f"gcd({j}, {z.m}) != 1")
-    return _evaluate(z.coeffs, _root_row(z.m, j)), _error_bound(z.coeffs)
+    err = embedding_error(z.m, sum(map(abs, z.coeffs)))
+    return _evaluate(z.coeffs, _root_row(z.m, j)), err

@@ -6,7 +6,7 @@ parameters.
 
 from math import gcd
 
-from .charsum import inverted_kloosterman_brute, orbit_bounds, scaled_ik_formula, scaled_ik_values
+from .charsum import bound_errors, inverted_kloosterman_brute, orbit_bounds, scaled_ik_formula, scaled_ik_values
 from .errors import InvalidParameters
 from .ff import get_field, is_prime
 from .galois import degree_bound, ik_degree
@@ -22,7 +22,6 @@ STICKELBERGER_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 CASE_I_PAIRS = ((7, 1), (11, 1), (11, 3), (13, 1), (13, 3))
 CASE_II_PAIRS = ((5, 5), (7, 7))
 CASE_III_PAIRS = ((3, 6), (5, 13))
-BOUND_SLACK = 1e-6
 
 
 def _primes_upto(n):
@@ -91,9 +90,19 @@ def divisibility_suite(fields=EXTENSION_FIELDS, ns=EXTENSION_NS):
     return ok, lines
 
 
+def _verdict(lhs, rhs, delta):
+    """True when lhs + delta <= rhs, False when lhs - delta > rhs, and None
+    (undecided) otherwise: lhs is within delta of the exact maximum."""
+    if lhs + delta <= rhs:
+        return True
+    return False if lhs - delta > rhs else None
+
+
 def bounds_suite():
     """Both estimates hold at every embedding for every sum in the degree
-    and divisibility grids (the identity grid lies inside the first)."""
+    and divisibility grids (the identity grid lies inside the first). The
+    floats decide only outside the proven error delta of every reading
+    (charsum.bound_errors); a verdict within it is an undecided FAIL."""
     ok = True
     lines = []
     grids = [(p, 1, n) for p in _primes_upto(DEGREE_P_MAX) for n in range(1, DEGREE_N_MAX + 1)]
@@ -101,17 +110,21 @@ def bounds_suite():
     checked = 0
     for p, k, n in grids:
         F = get_field(p, k)
-        bounds = orbit_bounds(F, n, scaled_ik_values(F, n))  # bounds_check(F, n, g^j) at j
+        values = scaled_ik_values(F, n)
+        bounds = orbit_bounds(F, n, values)  # bounds_check(F, n, g^j) at j
+        deltas = bound_errors(F, n, values)
         for b in F.units():
             lhs1, rhs1, lhs2, rhs2 = bounds[F.dlog(b)]
             checked += 1
-            if lhs1 > rhs1 + BOUND_SLACK or (lhs2 is not None and lhs2 > rhs2 + BOUND_SLACK):
-                ok = False
-                lines.append(
-                    f"bounds q={F.q} n={n} b={b.serialize()}: FAIL "
-                    f"({lhs1} vs {rhs1}, {lhs2} vs {rhs2})"
-                )
-    lines.append(f"bounds: {'ok' if ok else 'FAIL'} ({checked} sums, slack {BOUND_SLACK})")
+            verdicts = [_verdict(*v) for v in zip((lhs1, lhs2), (rhs1, rhs2), deltas) if v[0] is not None]
+            if all(verdicts):
+                continue
+            ok = False
+            line = f"bounds q={F.q} n={n} b={b.serialize()}: FAIL ({lhs1} vs {rhs1}, {lhs2} vs {rhs2})"
+            if False not in verdicts:
+                line += f", undecided within the float error {max(filter(None, deltas)):.3g}"
+            lines.append(line)
+    lines.append(f"bounds: {'ok' if ok else 'FAIL'} ({checked} sums, decided outside the proven float error)")
     return ok, lines
 
 

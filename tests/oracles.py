@@ -3,6 +3,9 @@
 Imported by the test modules (pytest puts this directory on sys.path).
 """
 
+from decimal import Decimal, localcontext
+from functools import lru_cache
+
 from ikdeg.charsum import _brute_counts
 from ikdeg.cyclo import CycInt, power, prime_factors
 from ikdeg.ff import _pmod, _pmulmod, _ptrim
@@ -47,6 +50,51 @@ def teichmuller_residue(z: CycInt, p: int, g: int) -> CycInt:
         if c:
             out[e * a_mul % p] += c * pow(g, e * b_mul % (p - 1), p)
     return CycInt(p, out)
+
+
+DIGITS = 50  # the decimal oracle's working precision
+
+
+@lru_cache(maxsize=None)
+def _decimal_roots(m: int) -> tuple:
+    """(cos, sin) of 2 pi e/m for e = 0 .. m-1 as Decimals, good to about
+    DIGITS digits: pi by the decimal module's own series recipe, then the
+    Taylor series of cos and sin."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + 10
+        pi, last, t, n, na, d, da = Decimal(3), 0, Decimal(3), 1, 0, 0, 24
+        while pi != last:
+            last = pi
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = t * n / d
+            pi += t
+        out = []
+        for e in range(m):
+            x = 2 * pi * e / m
+            cos, sin, term, k = Decimal(0), Decimal(0), Decimal(1), 0
+            while term:  # term = x^k / k!
+                if k % 2 == 0:
+                    cos += term if k % 4 == 0 else -term
+                else:
+                    sin += term if k % 4 == 1 else -term
+                k += 1
+                term = term * x / k
+                if abs(term) < Decimal(10) ** -(DIGITS + 8):
+                    break
+            out.append((cos, sin))
+    return tuple(out)
+
+
+def decimal_embedding(z: CycInt, j: int) -> tuple:
+    """z at e^(2 pi i j/m) as (real, imaginary) Decimals, good to about
+    DIGITS digits of sum |c|: the reference for the float embeddings."""
+    roots = _decimal_roots(z.m)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + 10
+        re = sum(c * roots[j * e % z.m][0] for e, c in enumerate(z.coeffs) if c)
+        im = sum(c * roots[j * e % z.m][1] for e, c in enumerate(z.coeffs) if c)
+    return Decimal(re), Decimal(im)
 
 
 def _trim(c) -> tuple:

@@ -11,7 +11,6 @@ import pytest
 
 from ikdeg import (
     CycInt,
-    change_conductor,
     charsum,
     exact_valuation,
     gauss_sum,
@@ -20,14 +19,14 @@ from ikdeg import (
     scaled_ik_at_p,
 )
 from ikdeg.charsum import (
-    _brute_counts, _character_terms, _relabel, additive_char, bounds_check, galois_orbits, ik_formula_scaled,
-    _COEFF_BYTES, _check_fits, _count_rows, kloosterman_brute, mult_char, orbit_bounds, s1_identity_check, scaled_ik_formula,
+    _brute_counts, _character_terms, _relabel, additive_char, bound_errors, bounds_check, galois_orbits,
+    ik_formula_scaled, _COEFF_BYTES, _check_fits, _count_rows, kloosterman_brute, mult_char, orbit_bounds, s1_identity_check, scaled_ik_formula,
     scaled_ik_values,
 )
-from ikdeg.cyclo import embed_complex, lower_conductor
+from ikdeg.cyclo import change_conductor, embed_complex, lower_conductor
 from ikdeg.errors import CheckFailed, InvalidParameters
 from ikdeg.ff import Field, is_prime
-from ikdeg.suites import BOUND_SLACK, DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
+from ikdeg.suites import DEGREE_N_MAX, DEGREE_P_MAX, EXTENSION_FIELDS, EXTENSION_NS
 from oracles import _add_rotations, brute_distribution
 
 TESTS = Path(__file__).resolve().parent
@@ -241,9 +240,17 @@ def test_check_fits_reads_the_address_space_limit_else_physical_memory(monkeypat
     unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
     capped = {resource.RLIMIT_AS: (2**30, 2**30)}
     monkeypatch.setattr(resource, "getrlimit", lambda which: capped.get(which, unlimited))
-    _check_fits(SimpleNamespace(p=6007, q=6007))  # 36 078 042 coefficients, 0.81 GiB
-    with pytest.raises(InvalidParameters, match=r"over the address-space limit of 1 GiB$"):
-        _check_fits(SimpleNamespace(p=7001, q=7001))
+    monkeypatch.setattr(charsum, "_address_space", lambda: 0)
+    _check_fits(SimpleNamespace(p=5003, q=5003))  # 5002 values of 5003 coefficients, 0.84 GiB
+    _check_fits(SimpleNamespace(p=2, q=2**19))  # 0.57 GiB: a value's own bytes, not its 2 coefficients
+    for p, q in ((7001, 7001), (2, 2**20)):  # 1.65 and 1.15 GiB
+        with pytest.raises(InvalidParameters, match=r"over the address-space limit of 1 GiB$"):
+            _check_fits(SimpleNamespace(p=p, q=q))
+    # what the process already holds counts
+    monkeypatch.setattr(charsum, "_address_space", lambda: 2**30 // 5)
+    with pytest.raises(InvalidParameters, match=r"beside the 0.2 GiB in use, over the address-space limit of 1 GiB$"):
+        _check_fits(SimpleNamespace(p=5003, q=5003))
+    monkeypatch.setattr(charsum, "_address_space", lambda: 0)
     monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
     _check_fits(SimpleNamespace(p=7001, q=7001))
     side = int((physical / _COEFF_BYTES) ** 0.5)  # (q-1)p just past physical memory
@@ -271,12 +278,18 @@ def test_bounds_report():
     # lhs1 is the maximum over the six embeddings j = 1 .. p-1
     z = scaled_ik_at_p(F, 1, F.one)
     assert lhs1 == max(abs(embed_complex(z, j)[0] / (7 * 6) + 6 / 7) for j in range(1, 7))
-    assert lhs1 <= rhs1 + BOUND_SLACK and lhs2 <= rhs2 + BOUND_SLACK
+    # both verdicts clear of the float error, delta = 2^-31 (S/scale + |shift|)
+    delta1, delta2 = bound_errors(F, 1, scaled_ik_values(F, 1))
+    spread = max(sum(map(abs, v.canonical())) for v in scaled_ik_values(F, 1)) / 42
+    assert (delta1, delta2) == (2.0**-31 * (spread + 6 / 7), 2.0**-31 * (spread + 2))  # shifts 6/7 and 14/7
+    assert lhs1 + delta1 <= rhs1 and lhs2 + delta2 <= rhs2
     assert lhs1 <= 7.0**1.0 + 1e-9
     # second estimate inapplicable when p | n+1
-    lhs1, rhs1, lhs2, rhs2 = bounds_check(get_field(3), 2, 1)
+    F = get_field(3)
+    lhs1, rhs1, lhs2, rhs2 = bounds_check(F, 2, 1)
     assert lhs2 is None and rhs2 is None
-    assert lhs1 <= rhs1 + BOUND_SLACK
+    delta1, delta2 = bound_errors(F, 2, scaled_ik_values(F, 2))
+    assert delta2 is None and lhs1 + delta1 <= rhs1
 
 
 # every prime p <= 61 with n <= 8 (p = 2 and p | n+1 among them), and

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from ikdeg import CycInt, charsum, cli, ff, get_field, ik_degree, kernels
 from ikdeg.charsum import bounds_check, ik_formula_scaled
+from ikdeg.cyclo import lower_conductor
 from ikdeg.cli import CSV_FIELDS, _fmt_cell, _value_json, main, parse_args
 from ikdeg.errors import InvalidParameters
 from ikdeg.padic import run_case_analysis
@@ -174,14 +175,15 @@ def test_sum_both_paths(capsys):
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (31, 1)])
 def test_sum_formula_line_is_the_wide_formula(capsys, p, k):
-    # q = 2, 3, 4, 8, 9, 25, 27, 31: the line printed from the conductor-p
-    # value equals the literal Gauss-sum formula at conductor p(q-1)
+    # q = 2, 3, 4, 8, 9, 25, 27, 31: the line prints the value at conductor
+    # p, the literal Gauss-sum formula at conductor p(q-1) lowered to p
     F = get_field(p, k)
     q, b = F.q, F.generator.serialize()
     for n in (1, 2):
         code, out, _ = run_cli(capsys, "sum", "--p", str(p), "--k", str(k), "--n", str(n), "--b", b)
         assert code == 0
-        want = ik_formula_scaled(F, n, F.generator).reduced().to_dict()
+        want = lower_conductor(ik_formula_scaled(F, n, F.generator), p).to_dict()
+        assert want["m"] == p
         assert out.splitlines()[0] == f"formula {q * (q - 1)}*IK_{n}({q}, {b}) = {json.dumps(want)}"
 
 
@@ -401,8 +403,8 @@ def test_benchmark_outputs_match_reference_digests(capsys, name):
 
 # Outputs that perfbench does not gate: the sha256 and byte count of stdout.
 PINNED_OUTPUTS = {
-    "verify all": ("c3c07d197646edb2f9715e2a4ce4190f1f4e66c3236def5e12a641f9667e8e05", 1830),
-    "verify bounds": ("cc72110d1b9c1351a54b0fc3fd9264d3db0aa8d762120e6e0ec175cb23ca471c", 36),
+    "verify all": ("55e0bab3792f45ce5b3002a2cb8671e04a997a768df81eca6eba176214737f8a", 1857),
+    "verify bounds": ("9f1141fd3c3c2a00587a4e93b326109d5d730062697fa4d505c1c6428c29652a", 63),
     "census --p 2 --p-max 7 --k 2 --n 1 --n-max 3": (
         "5b7db2a8d4fad2118a181839edc7f1f4bb6d21d082088d2bdc436ab857c3a100", 13716
     ),
@@ -642,15 +644,29 @@ def _run_capped(argv, limit):
 
 @pytest.mark.parametrize("argv", ["census --p 7001 --n 1", "sum --p 7001 --n 1 --b 1 --path formula"])
 def test_a_table_past_the_address_space_limit_is_refused_at_once(argv):
-    # (q-1)p = 49 007 000 coefficients, about 1.1 GiB: the child's 1 GiB
+    # (q-1)p = 49 007 000 coefficients, about 1.65 GiB: the child's 1 GiB
     # address-space limit refuses them, not physical memory, and it does
     # so before building any, which would take minutes
     code, out, err, seconds = _run_capped(argv, 2**30)
     assert (code, out) == (2, "")
-    assert err == (
-        "error: q = 7001 needs (q-1)*p = 49007000 coefficients, about 1.1 GiB, "
-        "over the address-space limit of 1 GiB\n"
-    )
+    assert re.fullmatch(
+        r"error: q = 7001 needs about 1.65 GiB for 7000 values of 7001 coefficients "
+        r"beside the [\d.]+ GiB in use, over the address-space limit of 1 GiB\n",
+        err,
+    ), err
+    assert seconds < 5
+
+
+@pytest.mark.parametrize("argv,q", [("census --p 1223 --n 1", 1223), ("census --p 2 --k 16 --n 1", 65536)])
+def test_a_census_past_the_address_space_limit_is_refused_after_its_field(argv, q):
+    # the smallest prime field and the smallest 2^k whose census does not
+    # fit in 64 MiB of address space although (q-1)p coefficients at 24
+    # bytes each do: the estimate must charge each value and its record
+    # beside the field and interpreter already held, or the census starts
+    # and dies of MemoryError, at interpreter exit with exit code 1 at times
+    code, out, err, seconds = _run_capped(argv, 64 << 20)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error: q = {q} needs about .* over the address-space limit of 0.0625 GiB\n", err), err
     assert seconds < 5
 
 

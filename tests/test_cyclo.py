@@ -2,24 +2,24 @@ import cmath
 import math
 import random
 import struct
-import sys
+from decimal import Decimal
 from functools import lru_cache
 
 import pytest
 
 from ikdeg import (
     CycInt,
-    change_conductor,
     cyclotomic_poly,
     embed_all,
     get_field,
     scaled_ik_at_p,
 )
+from ikdeg.charsum import scaled_ik_values
 from ikdeg import kernels
 from ikdeg.errors import InvalidParameters
-from ikdeg.cyclo import _complex_roots, embed_complex, galois_apply, lower_conductor, poly_rem
+from ikdeg.cyclo import _complex_roots, change_conductor, embed_complex, galois_apply, lower_conductor, poly_rem
 from ikdeg.ff import is_prime
-from oracles import poly_divmod, poly_eval
+from oracles import decimal_embedding, poly_divmod, poly_eval
 
 
 def test_cyclotomic_poly_examples():
@@ -159,7 +159,7 @@ def _assert_embed_all_is_embed_complex(z):
     m = z.m
     values, err = embed_all(z)
     assert list(values) == [j for j in range(m) if math.gcd(j, m) == 1]
-    assert err == 8 * sum(abs(c) for c in z.coeffs) * sys.float_info.epsilon
+    assert err == 2.0**-31 * sum(abs(c) for c in z.coeffs)  # cyclo.embedding_error
     for j, v in values.items():
         want = 0j
         for i, c in enumerate(z.coeffs):
@@ -190,6 +190,30 @@ def test_embed_all_is_embed_complex_bit_for_bit_on_random_values():
         _assert_embed_all_is_embed_complex(CycInt(m))
         # cancelling terms: a partial sum returns to zero and must not turn -0.0
         _assert_embed_all_is_embed_complex(CycInt(m, [1, -1] + [0] * (m - 2)))
+
+
+def _assert_err_bounds_the_true_error(z):
+    # the distance of each float embedding from its decimal value, to
+    # about 50 digits, is at most embed_all's err
+    values, err = embed_all(z)
+    for j, v in values.items():
+        re, im = decimal_embedding(z, j)
+        assert ((Decimal(v.real) - re) ** 2 + (Decimal(v.imag) - im) ** 2).sqrt() <= Decimal(err), (z.m, j)
+
+
+def test_embed_all_err_bounds_the_true_error():
+    for p, ns in ((3, (1, 2, 3)), (31, (1, 2)), (61, (1,))):
+        F = get_field(p)
+        for n in ns:
+            for z in scaled_ik_values(F, n):
+                _assert_err_bounds_the_true_error(z)
+    rng = random.Random(29)
+    for m in (3, 12, 31, 61):
+        for bits in (20, 53, 60):
+            for _ in range(3):
+                _assert_err_bounds_the_true_error(
+                    CycInt(m, [rng.randrange(-(2**bits), 2**bits + 1) for _ in range(m)])
+                )
 
 
 def test_wide_conductor_rows_are_not_kept():

@@ -4,9 +4,9 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from ikdeg import CycInt, change_conductor, gauss_sum, get_field, kernels
+from ikdeg import CycInt, gauss_sum, get_field, kernels
 from ikdeg.charsum import _relabel, mult_char
-from ikdeg.cyclo import embed_complex, galois_apply, lower_conductor
+from ikdeg.cyclo import change_conductor, embed_complex, galois_apply, lower_conductor
 from ikdeg.padic import PadicElt, teichmuller
 
 settings.register_profile("fixed", settings(derandomize=True, max_examples=60, deadline=None))

@@ -92,6 +92,7 @@ UNREACHED = {
             "charsum.kloosterman_brute",
             "charsum.mult_char",
             "charsum.s1_identity_check",
+            "cyclo.change_conductor",
             "cyclo.CycInt.__add__",
             "cyclo.CycInt.__neg__",
             "cyclo.CycInt.__pow__",

@@ -2,7 +2,8 @@
 the suite reports ok = False with a FAIL line that names the case, and
 the matching `ikdeg verify` command exits 1."""
 
-from ikdeg import CycInt, suites
+from ikdeg import CycInt, get_field, suites
+from ikdeg.charsum import bound_errors, scaled_ik_values
 from ikdeg.cli import main
 
 
@@ -77,22 +78,31 @@ def test_verify_divisibility_exits_1_on_a_fail(monkeypatch, capsys):
 
 def test_bounds_suite_fails_on_a_lhs_above_its_rhs(monkeypatch, capsys):
     real = suites.orbit_bounds
+    F = get_field(7)
+    j = F.dlog(F.elt(3))
+    lhs1, rhs1, lhs2, rhs2 = real(F, 2, scaled_ik_values(F, 2))[j]
+    delta = max(filter(None, bound_errors(F, 2, scaled_ik_values(F, 2))))
+    assert delta < 1e-7
+    # a reading far above its bound, one 5e-7 above it (inside the old fixed
+    # slack of 1e-6, outside the float error) and one equal to it, which the
+    # floats cannot decide
+    for raised, tail in ((rhs1 + 1, ""), (rhs1 + 5e-7, ""), (rhs1, f", undecided within the float error {delta:.3g}")):
 
-    def raised_at_7(F, n, values):
-        bounds = list(real(F, n, values))
-        if (F.q, n) == (7, 2):
-            j = F.dlog(F.elt(3))
-            lhs1, rhs1, lhs2, rhs2 = bounds[j]
-            bounds[j] = (rhs1 + 1, rhs1, lhs2, rhs2)
-        return bounds
+        def raised_at_7(F, n, values):
+            bounds = list(real(F, n, values))
+            if (F.q, n) == (7, 2):
+                bounds[j] = (raised, rhs1, lhs2, rhs2)
+            return bounds
 
-    monkeypatch.setattr(suites, "orbit_bounds", raised_at_7)
-    ok, lines = suites.bounds_suite()
-    assert not ok
-    assert [line for line in lines if "FAIL" in line][0].startswith("bounds q=7 n=2 b=3: FAIL (")
-    assert lines[-1] == "bounds: FAIL (1328 sums, slack 1e-06)"
-    code, lines = _verify(capsys, "bounds")
-    assert code == 1 and lines[-1] == "bounds: FAIL (1328 sums, slack 1e-06)"
+        monkeypatch.setattr(suites, "orbit_bounds", raised_at_7)
+        ok, lines = suites.bounds_suite()
+        assert not ok
+        assert [line for line in lines if "FAIL" in line] == [
+            f"bounds q=7 n=2 b=3: FAIL ({raised} vs {rhs1}, {lhs2} vs {rhs2}){tail}",
+            "bounds: FAIL (1328 sums, decided outside the proven float error)",
+        ]
+        code, lines = _verify(capsys, "bounds")
+        assert code == 1 and lines[-1] == "bounds: FAIL (1328 sums, decided outside the proven float error)"
 
 
 def test_cases_suite_fails_on_a_report_that_is_not_ok(monkeypatch, capsys):
