@@ -20,13 +20,13 @@ everything stays inside a ring with decidable equality.
 """
 
 import operator
-import os
+import sys
 from math import gcd
 
 from . import kernels
 from .cyclo import CycInt, _evaluate, _root_row, embed_all, embedding_error, map_exponents, subtract_top
 from .errors import CheckFailed, InvalidParameters
-from .ff import Field, FieldElt
+from .ff import Field, FieldElt, check_fits
 
 def additive_char(F: Field, x) -> CycInt:
     """psi(x) = zeta_p^Tr(x), at conductor p."""
@@ -209,57 +209,36 @@ def ik_formula_scaled(F: Field, n: int, b) -> CycInt:
     return total
 
 
-# Bytes that _check_fits charges one (q, n) at n = 1, measured as the growth
-# of VmPeak (/proc/self/status) from the built field to the end of
-# `census --p P --k K --n 1`, over q-1 (CPython 3.11, x86-64). Over F_p the
-# values share the count row's ints: 9.7, 32.3, 49.0 and 65.0 kB a value at
-# p = 401, 1009, 1511 and 2003. Over F_q, q > p, every coefficient is its own
-# int: 0.89-0.97 kB a value at q = 2^14 .. 2^18, 0.94-1.03 at 3^9 and 3^10,
-# 1.0 at 5^6, 1.15 at 7^5, 1.29 at 11^4, 1.36 at 13^4, 1.72 at 17^3, 2.90
-# at 31^3, 5.10 at 61^2 and 8.66 at 101^2. Each reading is below
-# _VALUE_BYTES plus p times the coefficient's bytes; at larger n the ints
-# widen (p = 1009, n = 4: 48.9 kB a value).
+# Bytes that _check_fits charges one (q, n), measured as the growth of
+# VmPeak (/proc/self/status) from the address space held at the check to
+# the end of `census --p P --k K --n N`, over q-1 (CPython 3.11, x86-64). A
+# coefficient costs its int, at the width of the widest one rounded up to
+# the allocator's 16 bytes, and _SLOT_BYTES beside it; over F_q, q > p,
+# the scaled convolutions hold a second int per coefficient until the
+# values are built. The charge was 1.01 to 2.2 times the growth with 16
+# slot bytes, at p = 401, 1009 and 1511 (n up to 8) and at q = 2^14, 2^16,
+# 3^9, 5^6, 61^2, 101^2, 13^4 and 31^3 (n up to 8 at 2^14, else 4); the
+# least were p = 1009, n = 4 (48.9 kB a value) and p = 1511, n = 3, where
+# the ints are 32 bytes. 20 leaves a tenth to spare there.
 _VALUE_BYTES = 1000  # the value, its bounds tuple, its census row and CSV line
-_COEFF_BYTES = 36  # a coefficient over F_p
-_OWN_COEFF_BYTES = 88  # a coefficient over F_q, q > p
+_SLOT_BYTES = 20  # the tuple slot, and the census's transient work per coefficient
 
 
-def _address_space() -> int:
-    """The bytes of this process's address space (VmSize), which
-    RLIMIT_AS caps; 0 where /proc/self/statm is missing. A raw read: the
-    census checks once per (q, n)."""
-    try:
-        fd = os.open("/proc/self/statm", os.O_RDONLY)
-    except OSError:
-        return 0
-    try:
-        return int(os.read(fd, 64).split()[0]) * os.sysconf("SC_PAGE_SIZE")
-    finally:
-        os.close(fd)
+def _int_bytes(widest: int) -> int:
+    """The bytes an int as wide as widest takes in the allocator."""
+    return -(-sys.getsizeof(widest) // 16) * 16
 
 
-def _check_fits(F: Field) -> None:
-    """Raise InvalidParameters unless the q-1 values of a (q, n), with p
-    coefficients each, fit in memory beside what the process holds, at
-    _VALUE_BYTES a value and _COEFF_BYTES or _OWN_COEFF_BYTES a
-    coefficient: in the address-space limit (RLIMIT_AS) when one is set,
-    else in physical memory. The formula's term 1 has as many
+def _check_fits(F: Field, widest: int) -> None:
+    """Raise InvalidParameters unless the q-1 values of a (q, n), p
+    coefficients each, none wider than widest, fit in memory beside what
+    the process holds (ff.check_fits). The formula's term 1 has as many
     coefficients. Without it, census --p 100003 would fill about 10^10
     coefficients one value at a time before failing."""
-    import resource  # only here: every other command would pay its import
-
     q1, p = F.q - 1, F.p
-    need = q1 * (_VALUE_BYTES + p * (_COEFF_BYTES if F.q == p else _OWN_COEFF_BYTES))
-    held = _address_space()
-    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
-    where = "the address-space limit"
-    if limit == resource.RLIM_INFINITY:
-        limit, where = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "physical memory"
-    if held + need > limit:
-        raise InvalidParameters(
-            f"q = {F.q} needs about {need / 2**30:.3g} GiB for {q1} values of {p} coefficients "
-            f"beside the {held / 2**30:.3g} GiB in use, over {where} of {limit / 2**30:.3g} GiB"
-        )
+    ints = 1 if F.k == 1 else 2
+    need = q1 * (_VALUE_BYTES + p * ints * (_SLOT_BYTES + _int_bytes(widest)))
+    check_fits(f"q = {F.q}", need, f"{q1} values of {p} coefficients")
 
 
 def _canonical(p: int, coeffs) -> CycInt:
@@ -290,9 +269,11 @@ def scaled_ik_values(F: Field, n: int) -> tuple:
     key = ("values", n)
     values = F._cache.get(key)
     if values is None:
-        _check_fits(F)
         p, q1 = F.p, F.q - 1
         scale, row = F.q * q1, _count_rows(F, n)[1]
+        # a coefficient is a difference of two scaled entries of the row,
+        # over F_q, q > p, each a sum of at most q-1 of them
+        _check_fits(F, 2 * scale * max(row) * (q1 if F.k > 1 else 1))
         if F.k == 1:
             # class t != 0, c = -dlog t, reads D[j + (n+1) dlog t]: entry
             # (n+1) dlog t of the row rotated by j; class 0 reads the 0
@@ -324,8 +305,10 @@ def _formula_parts(F: Field, n: int) -> tuple:
     key = ("formula", n)
     parts = F._cache.get(key)
     if parts is None:
-        _check_fits(F)
         p, q1 = F.p, F.q - 1
+        # term 1 is a product of G^2 and G^(n+1), G a sum of q-1 roots of
+        # unity, so no coefficient passes (q-1)^(n+3)
+        _check_fits(F, q1 ** (n + 3))
         term = _character_terms(F, n)
         # rho_0 sends zeta_{q-1} to 1, so rho_0(T_b) = rho_0(T) for every b
         rho0 = map_exponents(term, pow(q1, -1, p), p).coeffs

@@ -3,7 +3,8 @@
 Exit codes: 0 full pass, 1 any verification failure, 2 invalid parameters.
 """
 
-import gc
+import contextlib
+import os
 import sys
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from . import suites
 from .charsum import galois_orbits, inverted_kloosterman_brute, orbit_bounds, scaled_ik_formula, scaled_ik_values
 from .cyclo import embed_all
 from .errors import CheckFailed, InvalidParameters
-from .ff import Field, get_field, is_prime
+from .ff import Field, check_field_fits, get_field, is_prime
 from .galois import degree_bound, degree_of, min_poly
 from .padic import case_analysis
 
@@ -122,17 +123,12 @@ def cmd_verify(args) -> int:
     elif args.suite == "identity":
         ok, lines = suites.identity_suite(args.p, args.n)
     elif args.suite == "degree":
-        if args.p is not None and not is_prime(args.p):
-            raise InvalidParameters(f"{args.p} is not prime")
-        p_max = _first(args.p, args.p_max, suites.DEGREE_P_MAX)
-        n_max = _first(args.n, args.n_max, suites.DEGREE_N_MAX)
-        ok, lines = suites.degree_suite(p_max, n_max)
+        p_max = _first(args.p_max, suites.DEGREE_P_MAX)
+        ok, lines = suites.degree_suite(p_max, _first(args.n_max, suites.DEGREE_N_MAX))
     elif args.suite == "divisibility":
         ok, lines = suites.divisibility_suite()
     elif args.suite == "stickelberger":
-        p_max = _first(args.p_max, suites.STICKELBERGER_PRIMES[-1])
-        primes = [q for q in suites.STICKELBERGER_PRIMES if q <= p_max]
-        ok, lines = suites.stickelberger_suite(primes if args.p is None else [args.p])
+        ok, lines = suites.stickelberger_suite(suites.STICKELBERGER_PRIMES if args.p is None else [args.p])
     elif args.suite == "cases":
         ok, lines = suites.cases_suite()
     else:  # bounds
@@ -150,6 +146,7 @@ def cmd_census(args) -> int:
     n_lo = _first(args.n, 1)
     n_hi = _first(args.n_max, n_lo)
     k = _first(args.k, 1)
+    check_field_fits(p_hi, k)  # the largest field, before is_prime reads the range
     primes = [p for p in range(p_lo, p_hi + 1) if is_prime(p)]
     if not primes or n_hi < n_lo:
         raise InvalidParameters("empty parameter range")
@@ -219,13 +216,13 @@ def cmd_sum(args) -> int:
 
 
 # The grammar, as in README's option table: each command (a verify suite is
-# "verify <suite>") and the options it reads. A pair joined by "|" excludes
-# each other; the order of the words is the order of the choices in errors.
+# "verify <suite>") and the options it reads; the order of the words is the
+# order of the choices in errors.
 COMMANDS = {
     "verify identity": "--p --n",
-    "verify degree": "--p|--p-max --n|--n-max",  # --p and --n are maxima
+    "verify degree": "--p-max --n-max",
     "verify divisibility": "",
-    "verify stickelberger": "--p|--p-max",
+    "verify stickelberger": "--p",
     "verify cases": "",
     "verify bounds": "",
     "verify all": "",
@@ -246,8 +243,7 @@ def _usage(words) -> str:
         if f"{command} ".startswith(prefix):
             line = ["usage: ikdeg", command]
             for option in options.split():
-                alts = (f"{f} {'|'.join(CHOICES.get(f, [f[2:].upper()]))}" for f in option.split("|"))
-                line.append(f"[{' | '.join(alts)}]")
+                line.append(f"[{option} {'|'.join(CHOICES.get(option, [option[2:].upper()]))}]")
             lines.append(" ".join(line))
     return "\n".join(lines) + "\n"
 
@@ -280,11 +276,7 @@ def parse_args(argv):
             choices = ", ".join(map(repr, names))
             raise InvalidParameters(f"argument {dest}: invalid choice: {argv[i]!r} (choose from {choices})")
         words.append(argv[i])
-    reads, excludes = set(), {}
-    for option in COMMANDS[" ".join(words)].split():
-        pair = option.split("|")
-        reads.update(pair)
-        excludes.update((a, b) for a in pair for b in pair if a != b)
+    reads = set(COMMANDS[" ".join(words)].split())
     given, extras = {}, []
     tokens = iter(argv[len(words):])
     for token in tokens:
@@ -308,12 +300,10 @@ def parse_args(argv):
                 value = int(value)
             except ValueError:
                 raise InvalidParameters(f"argument {flag}: invalid int value: {value!r}") from None
-        if excludes.get(flag) in given:
-            raise InvalidParameters(f"argument {flag}: not allowed with argument {excludes[flag]}")
         given[flag] = value
     if extras:
         raise InvalidParameters(" ".join(f"unrecognized arguments: {' '.join(extras)}".splitlines()))
-    flags = {f for options in COMMANDS.values() for f in options.replace("|", " ").split()}
+    flags = {f for options in COMMANDS.values() for f in options.split()}
     return SimpleNamespace(
         command=words[0],
         suite=words[1] if len(words) > 1 else None,
@@ -353,14 +343,23 @@ def main(argv=None) -> int:
 
 def run():
     """The `ikdeg` command, `python -m ikdeg` and `python -m ikdeg.cli`:
-    main() on sys.argv, then exit with its code."""
+    main() on sys.argv, then flush stdout and stderr and exit with its
+    code at once (os._exit). No interpreter teardown runs, so none of its
+    errors (a MemoryError, a flush that fails) can pass main and change
+    the code, and none of its collections costs time. A stream that
+    cannot be written exits 2 with one `io error:` line, unless main
+    already exited 2 with its own line."""
     code = main()
-    # The collections at interpreter exit would scan every live object
-    # (about 11 000 from site alone) and no ikdeg object needs a finaliser
-    # then; frozen objects are skipped. atexit handlers and the flush of
-    # open files still run.
-    gc.freeze()
-    sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError as exc:
+            if code != 2:
+                code = 2
+                with contextlib.suppress(OSError):
+                    sys.stderr.write(f"io error: {exc}\n")
+                    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

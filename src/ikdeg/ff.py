@@ -11,6 +11,7 @@ Newton's identities give from the modulus. Designed for desk-scale q.
 """
 
 import operator
+import os
 from functools import cached_property, lru_cache
 from itertools import chain
 
@@ -20,6 +21,76 @@ from .errors import CheckFailed, InvalidParameters
 
 def is_prime(n: int) -> bool:
     return prime_factors(n) == [n]
+
+
+# -- memory ------------------------------------------------------------
+
+
+def _address_space() -> int:
+    """The bytes of this process's address space (VmSize), which
+    RLIMIT_AS caps; 0 where /proc/self/statm is missing. A raw read: it
+    runs once per checked table."""
+    try:
+        fd = os.open("/proc/self/statm", os.O_RDONLY)
+    except OSError:
+        return 0
+    try:
+        return int(os.read(fd, 64).split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    finally:
+        os.close(fd)
+
+
+# A need below this is not checked: it is built in milliseconds, and if it
+# does not fit, the MemoryError that follows is as quick and main reports
+# it in one line. Fields up to q of about 4 600 and censuses up to p of
+# about 130 stay below it and pay nothing for the check's import and reads.
+_UNCHECKED_BYTES = 1 << 20
+
+
+def check_fits(subject: str, need: int, purpose: str) -> None:
+    """Raise InvalidParameters unless need more bytes fit beside the
+    address space the process holds: in the address-space limit
+    (RLIMIT_AS) when one is set, else in physical memory. The message
+    reads "<subject> needs about ... GiB for <purpose> beside ...". Every
+    table that grows with q is checked here before it is built."""
+    if need < _UNCHECKED_BYTES:
+        return
+    import resource  # only here: a need below _UNCHECKED_BYTES skips it
+
+    held = _address_space()
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    where = "the address-space limit"
+    if limit == resource.RLIM_INFINITY:
+        limit, where = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "physical memory"
+    if held + need > limit:
+        raise InvalidParameters(
+            f"{subject} needs about {need / 2**30:.3g} GiB for {purpose} "
+            f"beside the {held / 2**30:.3g} GiB in use, over {where} of {limit / 2**30:.3g} GiB"
+        )
+
+
+# Bytes a discrete-log entry costs: its coordinate tuple, shared by
+# dlog_table and _pow_table, its log, the list slot and the dict's share,
+# a resize included. Measured as the growth of VmPeak (/proc/self/status)
+# over get_field(p, k), over q-1 (CPython 3.11, x86-64): at most 218 at
+# k = 1 (primes up to 3*10^6), 253 at 1187^2, 250 at 3^13 and 317 at 2^22.
+# Each reading is below _ENTRY_BYTES plus, per coordinate, a tuple slot
+# and, once p - 1 passes the cached small ints, an int of its own.
+_ENTRY_BYTES = 184
+
+
+def check_field_fits(p: int, k: int) -> None:
+    """Raise InvalidParameters unless the discrete-log table of F_(p^k),
+    q-1 entries, fits in memory (check_fits). It runs before is_prime,
+    whose trial division alone takes minutes at p near 10^18. Past 2^64
+    entries nothing fits; the power stops there, so a huge k costs
+    nothing."""
+    if p < 2:
+        return  # is_prime refuses it at once
+    entries = min(p ** min(k, 64), 2**64) - 1
+    subject = f"q = {p}" if k == 1 else f"q = {p}^{k}"
+    per_entry = _ENTRY_BYTES + k * (8 if p <= 257 else 40)
+    check_fits(subject, entries * per_entry, "a discrete-log table of q - 1 entries")
 
 
 # -- polynomial helpers over F_p (coefficient lists, ascending) ----------
@@ -160,10 +231,11 @@ class Field:
     """
 
     def __init__(self, p: int, k: int = 1):
-        if not is_prime(p):
-            raise InvalidParameters(f"{p} is not prime")
         if k < 1:
             raise InvalidParameters("extension degree must be >= 1")
+        check_field_fits(p, k)
+        if not is_prime(p):
+            raise InvalidParameters(f"{p} is not prime")
         self.p = p
         self.k = k
         self.q = p**k

@@ -7,7 +7,6 @@ parameters.
 from math import gcd
 
 from .charsum import bound_errors, inverted_kloosterman_brute, orbit_bounds, scaled_ik_formula, scaled_ik_values
-from .errors import InvalidParameters
 from .ff import get_field, is_prime
 from .galois import degree_bound, ik_degree
 from .padic import case_analysis, stickelberger_check
@@ -30,21 +29,22 @@ def _primes_upto(n):
 
 def identity_suite(p=None, n=None):
     """The two routes agree: q(q-1) * count == Gauss-sum formula, exact,
-    in Z[zeta_p], for every b."""
+    in Z[zeta_p], for every b, read both ways off the count: per b
+    (inverted_kloosterman_brute) and as the kept value that the census
+    and the other suites read (scaled_ik_values)."""
     primes = list(IDENTITY_PRIMES) if p is None else [p]
     ns = list(IDENTITY_NS) if n is None else [n]
-    for pp in primes:
-        if not is_prime(pp):
-            raise InvalidParameters(f"{pp} is not prime")
     lines = []
     ok = True
     for pp in primes:
         F = get_field(pp)
         for nn in ns:
+            values = scaled_ik_values(F, nn)
             bad = []
             for b in F.units():
+                formula = scaled_ik_formula(F, nn, b)
                 brute = inverted_kloosterman_brute(F, nn, b)
-                if pp * (pp - 1) * brute != scaled_ik_formula(F, nn, b):
+                if pp * (pp - 1) * brute != formula or values[F.dlog(b)] != formula:
                     bad.append(b.serialize())
             if bad:
                 ok = False
@@ -133,8 +133,7 @@ def stickelberger_suite(primes=STICKELBERGER_PRIMES):
     ok = True
     lines = []
     for p in primes:
-        if not is_prime(p):
-            raise InvalidParameters(f"{p} is not prime")
+        get_field(p)  # refuses a p that is not prime, p < 2 among them
         bad = []
         for m in range(p - 1):
             predicted, observed, good = stickelberger_check(p, m)

@@ -13,6 +13,7 @@ from ikdeg import (
     CycInt,
     charsum,
     exact_valuation,
+    ff,
     gauss_sum,
     get_field,
     inverted_kloosterman_brute,
@@ -20,7 +21,7 @@ from ikdeg import (
 )
 from ikdeg.charsum import (
     _brute_counts, _character_terms, _relabel, additive_char, bound_errors, bounds_check, galois_orbits,
-    ik_formula_scaled, _COEFF_BYTES, _check_fits, _count_rows, kloosterman_brute, mult_char, orbit_bounds, s1_identity_check, scaled_ik_formula,
+    ik_formula_scaled, _check_fits, _count_rows, kloosterman_brute, mult_char, orbit_bounds, s1_identity_check, scaled_ik_formula,
     scaled_ik_values,
 )
 from ikdeg.cyclo import change_conductor, embed_complex, lower_conductor
@@ -240,22 +241,36 @@ def test_check_fits_reads_the_address_space_limit_else_physical_memory(monkeypat
     unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
     capped = {resource.RLIMIT_AS: (2**30, 2**30)}
     monkeypatch.setattr(resource, "getrlimit", lambda which: capped.get(which, unlimited))
-    monkeypatch.setattr(charsum, "_address_space", lambda: 0)
-    _check_fits(SimpleNamespace(p=5003, q=5003))  # 5002 values of 5003 coefficients, 0.84 GiB
-    _check_fits(SimpleNamespace(p=2, q=2**19))  # 0.57 GiB: a value's own bytes, not its 2 coefficients
-    for p, q in ((7001, 7001), (2, 2**20)):  # 1.65 and 1.15 GiB
+    monkeypatch.setattr(ff, "_address_space", lambda: 0)
+    prime = SimpleNamespace(p=4001, q=4001, k=1)
+    _check_fits(prime, 2**50)  # 4000 values of 4001 coefficients at 32 + 20 bytes, 0.78 GiB
+    _check_fits(SimpleNamespace(p=2, q=2**19, k=19), 2**60)  # 0.62 GiB: a value's own bytes, two ints a coefficient
+    # the width of the ints counts: at 2^200 a coefficient costs 64 + 20 bytes
+    for F, widest in ((prime, 2**200), (SimpleNamespace(p=2, q=2**20, k=20), 2**60)):  # 1.25 and 1.24 GiB
         with pytest.raises(InvalidParameters, match=r"over the address-space limit of 1 GiB$"):
-            _check_fits(SimpleNamespace(p=p, q=q))
+            _check_fits(F, widest)
     # what the process already holds counts
-    monkeypatch.setattr(charsum, "_address_space", lambda: 2**30 // 5)
-    with pytest.raises(InvalidParameters, match=r"beside the 0.2 GiB in use, over the address-space limit of 1 GiB$"):
-        _check_fits(SimpleNamespace(p=5003, q=5003))
-    monkeypatch.setattr(charsum, "_address_space", lambda: 0)
+    monkeypatch.setattr(ff, "_address_space", lambda: 2**30 * 3 // 10)
+    with pytest.raises(InvalidParameters, match=r"beside the 0.3 GiB in use, over the address-space limit of 1 GiB$"):
+        _check_fits(prime, 2**50)
+    monkeypatch.setattr(ff, "_address_space", lambda: 0)
     monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
-    _check_fits(SimpleNamespace(p=7001, q=7001))
-    side = int((physical / _COEFF_BYTES) ** 0.5)  # (q-1)p just past physical memory
+    _check_fits(prime, 2**200)
+    side = int((physical / 52) ** 0.5)  # (q-1)p coefficients of 52 bytes just past physical memory
     with pytest.raises(InvalidParameters, match=r"over physical memory of "):
-        _check_fits(SimpleNamespace(p=side + 2, q=side + 2))
+        _check_fits(SimpleNamespace(p=side + 2, q=side + 2, k=1), 2**50)
+
+
+def test_check_fits_charges_the_values_of_a_census_at_every_n(monkeypatch):
+    # the charge covers the values' ints as they widen with n: at
+    # p = 1009, n = 4 the census grew VmPeak by 48.9 kB a value, above the
+    # 37.3 kB that constants read at n = 1 charged
+    charged = []
+    monkeypatch.setattr(charsum, "check_fits", lambda subject, need, purpose: charged.append(need))
+    F = Field(1009)
+    for n in (1, 4):
+        charsum.scaled_ik_values(F, n)
+    assert [need / 1008 > 48_900 for need in charged] == [True, True]
 
 
 def test_budget_and_zero_guards():

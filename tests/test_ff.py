@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -281,3 +282,26 @@ def test_invalid_parameters():
     with pytest.raises(InvalidParameters):
         get_field(5).elt([1, 2])
 
+
+
+def test_a_table_too_large_is_refused_before_the_prime_is_tested(monkeypatch):
+    # is_prime's trial division at p near 10^18, the modulus search and the
+    # table itself would each run for minutes; a huge k costs no power
+    def untested(n):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(ff, "is_prime", untested)
+    cases = ((10**18 + 3, 1, "1000000000000000003"), (2, 30, "2^30"), (3, 40, "3^40"), (2, 10**9, "2^1000000000"))
+    for p, k, q in cases:
+        want = rf"^q = {re.escape(q)} needs about [\d.e+]+ GiB for a discrete-log table of q - 1 entries beside "
+        with pytest.raises(InvalidParameters, match=want):
+            Field(p, k)
+
+
+def test_a_need_below_one_mib_is_not_checked(monkeypatch):
+    import resource
+
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (0, 0))  # nothing fits
+    ff.check_fits("q = 7", ff._UNCHECKED_BYTES - 1, "a table")
+    with pytest.raises(InvalidParameters, match="^q = 7 needs about 0.000977 GiB for a table beside "):
+        ff.check_fits("q = 7", ff._UNCHECKED_BYTES, "a table")

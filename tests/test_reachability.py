@@ -34,7 +34,7 @@ TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 COMMANDS = (
     ("verify identity", 0),
     ("verify degree", 0),
-    ("verify degree --p 7 --n 2", 0),
+    ("verify degree --p-max 7 --n-max 2", 0),
     ("verify divisibility", 0),
     ("verify stickelberger", 0),
     ("verify stickelberger --p 5", 0),
@@ -63,9 +63,9 @@ COMMANDS = (
     ("sum --p 5 --n 1 --b x", 2),
     ("sum --p 5 --n 1", 2),
     ("verify identity --p 4", 2),
-    ("verify degree --p 4", 2),
+    ("verify degree --p-max 1", 2),  # empty range
     ("verify stickelberger --p 4", 2),
-    ("verify stickelberger --p-max 2", 2),  # empty range
+    ("verify stickelberger --p 1", 2),  # not prime
     ("census", 2),
     ("census --p 8", 2),
     ("census --p 3 --out {out}", 2),  # a directory: not writable as a file
@@ -74,7 +74,7 @@ COMMANDS = (
     ("sum --p", 2),
     ("census --p x", 2),
     ("census --p 3 --format xml", 2),
-    ("verify degree --p 5 --p-max 7", 2),
+    ("verify degree --p 7", 2),  # an option the suite does not read
     ("sum --p 5 --x 1", 2),
 )
 

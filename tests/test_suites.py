@@ -25,6 +25,26 @@ def test_identity_suite_fails_on_a_brute_sum_off_by_zeta(monkeypatch, capsys):
     assert code == 1 and "identity p=5 n=1: FAIL at b in ['2']" in lines
 
 
+def test_identity_suite_fails_on_a_kept_value_off_by_zeta(monkeypatch, capsys):
+    # the per-b count agrees with the formula; the tuple the census reads
+    # does not, at one b
+    real = suites.scaled_ik_values
+
+    def off_by_zeta(F, n):
+        values = real(F, n)
+        if (F.p, n) != (5, 1):
+            return values
+        j = F.dlog(F.elt(2))
+        wrong = values[j] + CycInt.monomial(5, 1)
+        return values[:j] + (wrong,) + values[j + 1:]
+
+    monkeypatch.setattr(suites, "scaled_ik_values", off_by_zeta)
+    assert suites.identity_suite(5, 1) == (False, ["identity p=5 n=1: FAIL at b in ['2']"])
+    code, lines = _verify(capsys, "identity")
+    assert code == 1 and "identity p=5 n=1: FAIL at b in ['2']" in lines
+    assert sum("FAIL" in line for line in lines) == 1
+
+
 def test_degree_suite_prints_no_ok_for_a_prime_with_a_fail(monkeypatch, capsys):
     real = suites.ik_degree
 
