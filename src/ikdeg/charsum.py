@@ -11,12 +11,12 @@ of a (q, n) in Z[zeta_p] off it, and `scaled_ik_at_p` is one entry of
 that tuple. The Gauss-sum formula is the second, independent route: a
 sum over characters of relabelled copies rho_m of one term in
 Z[zeta_{p(q-1)}]. `ik_formula_scaled` states it literally, while
-`scaled_ik_formula` reads one value in Z[zeta_p] off that term, since
-the sum of rho_m over all m is (q-1) times the zeta_{q-1}-free row. A
-field keeps the powers of its Gauss sum, and for each n it was asked
-for the count's rows, the tuple of values and the formula's term.
-Identities involving 1/(q(q-1)) are kept in scaled form so that
-everything stays inside a ring with decidable equality.
+`ik_formula` reads one value in Z[zeta_p] off that term, since the sum
+of rho_m over all m is (q-1) times the zeta_{q-1}-free row. A field
+keeps the powers of its Gauss sum, and for each n it was asked for the
+count's rows, the tuple of values and the formula's term. The kept
+values are scaled by q(q-1), as the census reads them; `ik_formula`
+divides it out exactly.
 """
 
 import operator
@@ -24,7 +24,7 @@ import sys
 from math import gcd
 
 from . import kernels
-from .cyclo import CycInt, _evaluate, _root_row, embed_all, embedding_error, map_exponents, subtract_top
+from .cyclo import CycInt, _evaluate, _exact_div, _root_row, embed_all, embedding_error, map_exponents, subtract_top
 from .errors import CheckFailed, InvalidParameters
 from .ff import Field, FieldElt, check_fits
 
@@ -232,9 +232,8 @@ def _int_bytes(widest: int) -> int:
 def _check_fits(F: Field, widest: int) -> None:
     """Raise InvalidParameters unless the q-1 values of a (q, n), p
     coefficients each, none wider than widest, fit in memory beside what
-    the process holds (ff.check_fits). The formula's term 1 has as many
-    coefficients. Without it, census --p 100003 would fill about 10^10
-    coefficients one value at a time before failing."""
+    the process holds (ff.check_fits). Without it, census --p 100003 would
+    fill about 10^10 coefficients one value at a time before failing."""
     q1, p = F.q - 1, F.p
     ints = 1 if F.k == 1 else 2
     need = q1 * (_VALUE_BYTES + p * ints * (_SLOT_BYTES + _int_bytes(widest)))
@@ -299,16 +298,34 @@ def scaled_ik_at_p(F: Field, n: int, b) -> CycInt:
     return scaled_ik_values(F, n)[F.dlog(b)]
 
 
+# Ints that `sum --path formula|both` holds per coefficient of term 1, each
+# as wide as the widest coefficient of term 1 and _SLOT_BYTES beside it:
+# G^2, G^(n+1) and term 1, the packed operands and product of the
+# convolution that builds it, and what min_poly holds after. Measured as
+# the growth of VmPeak (/proc/self/status) from the address space held at
+# the check to the end of `sum --p P --k K --n N --b 3 --path formula`,
+# over p(q-1) (CPython 3.11, x86-64): 110 to 193 bytes at p = 211 and 401
+# (n = 1), p = 401 (n = 3), 2^12 (n = 1) and 13^3 (n = 2), where the charge
+# is 312; 175 at p = 211 (n = 4), charged 312; 275 at 2^12 (n = 4) and
+# 349 at p = 211 (n = 8), charged 408. min_poly's powers grow with the
+# degree and the width of IK, not with p(q-1), so past these n they can
+# outgrow the charge (1 088 bytes at p = 61, n = 40).
+_FORMULA_INTS = 6
+
+
 def _formula_parts(F: Field, n: int) -> tuple:
     """(term 1's coefficients, rho_0(term 1)'s coefficients, the constant)
-    of the scaled formula, kept per field as ("formula", n)."""
+    of the scaled formula, kept per field as ("formula", n). Raises
+    InvalidParameters, before any Gauss sum is built, unless the route's
+    charge fits (ff.check_fits)."""
     key = ("formula", n)
     parts = F._cache.get(key)
     if parts is None:
         p, q1 = F.p, F.q - 1
         # term 1 is a product of G^2 and G^(n+1), G a sum of q-1 roots of
         # unity, so no coefficient passes (q-1)^(n+3)
-        _check_fits(F, q1 ** (n + 3))
+        need = p * q1 * _FORMULA_INTS * (_SLOT_BYTES + _int_bytes(q1 ** (n + 3)))
+        check_fits(f"q = {F.q}", need, f"the Gauss-sum formula's {p * q1} coefficients")
         term = _character_terms(F, n)
         # rho_0 sends zeta_{q-1} to 1, so rho_0(T_b) = rho_0(T) for every b
         rho0 = map_exponents(term, pow(q1, -1, p), p).coeffs
@@ -316,9 +333,9 @@ def _formula_parts(F: Field, n: int) -> tuple:
     return parts
 
 
-def scaled_ik_formula(F: Field, n: int, b) -> CycInt:
-    """q(q-1) * IK_n(q, b) in Z[zeta_p], reduced, by the Gauss-sum formula:
-    the second route, which `verify identity` and `sum --path formula|both`
+def ik_formula(F: Field, n: int, b) -> CycInt:
+    """IK_n(q, b) in Z[zeta_p], reduced, by the Gauss-sum formula: the
+    second route, which `verify identity` and `sum --path formula|both`
     compare with the count. Term 1 and rho_0 are kept per (F, n), and a b
     costs O(p).
 
@@ -327,6 +344,7 @@ def scaled_ik_formula(F: Field, n: int, b) -> CycInt:
     (q-1) * row_0(T_b) - rho_0(T_b), T_b term 1 times zeta_{q-1}^(dlog b).
     Exponents split by CRT:
     zeta_{p(q-1)}^e = zeta_p^(e/(q-1) mod p) * zeta_{q-1}^(e/p mod q-1).
+    That is q(q-1) * IK, divided out exactly (CheckFailed on a remainder).
 
     Term 1 must be the unreduced group-ring product (_character_terms):
     rho_m is a ring map of Z[x]/(x^(p(q-1)) - 1), but not mod Phi when
@@ -349,7 +367,7 @@ def scaled_ik_formula(F: Field, n: int, b) -> CycInt:
     row = p * (-F.dlog(b) % q1)
     out = [q1 * t[(q1 * a + row) % big_m] - r for a, r in enumerate(rho0)]
     out[0] += const
-    return CycInt(p, out).reduced()
+    return _canonical(p, [_exact_div(c, F.q * q1) for c in subtract_top(out)])
 
 
 def s1_identity_check(F: Field, n: int) -> bool:

@@ -9,7 +9,7 @@ import sys
 from types import SimpleNamespace
 
 from . import suites
-from .charsum import galois_orbits, inverted_kloosterman_brute, orbit_bounds, scaled_ik_formula, scaled_ik_values
+from .charsum import galois_orbits, ik_formula, inverted_kloosterman_brute, orbit_bounds, scaled_ik_values
 from .cyclo import embed_all
 from .errors import CheckFailed, InvalidParameters
 from .ff import Field, check_field_fits, get_field, is_prime
@@ -151,7 +151,8 @@ def cmd_census(args) -> int:
     if not primes or n_hi < n_lo:
         raise InvalidParameters("empty parameter range")
     records = []
-    for F in [get_field(p, k) for p in primes]:
+    for p in primes:
+        F = get_field(p, k)
         q1 = F.q - 1
         for n in range(n_lo, n_hi + 1):
             # each value once, in dlog order; orbit_bounds checks that they
@@ -169,6 +170,7 @@ def cmd_census(args) -> int:
                 census_record(F, n, j, degrees[j % orbits], reports[j % orbits], bounds[j])
                 for j in range(q1)
             ]
+        F.release_tables()
     _emit(records, args.format, args.out)
     return 0
 
@@ -185,33 +187,28 @@ def cmd_sum(args) -> int:
     b = _parse_b(F, args.b)
     n = args.n
     q = F.q
-    value, scale, code = None, 1, 0  # value is scale * IK, at conductor p
+    value, code = None, 0  # IK_n(q, b) at conductor p, canonical, whatever the path
     if args.path in ("brute", "both"):
-        value = inverted_kloosterman_brute(F, n, b)
+        value = inverted_kloosterman_brute(F, n, b).reduced()
         print(f"brute IK_{n}({q}, {b.serialize()}) = {_value_json(value)}")
     if args.path in ("formula", "both"):
-        z_p = scaled_ik_formula(F, n, b)
-        print(f"formula {q * (q - 1)}*IK_{n}({q}, {b.serialize()}) = {_value_json(z_p)}")
-        if value is None:
-            value, scale = z_p, q * (q - 1)
-        else:
-            agree = q * (q - 1) * value == z_p
-            print(f"paths agree: {agree}")
-            code = 0 if agree else 1
+        formula = ik_formula(F, n, b)
+        print(f"formula IK_{n}({q}, {b.serialize()}) = {_value_json(formula)}")
+        if value is not None:
+            code = 0 if value == formula else 1
+            print(f"paths agree: {code == 0}")
+        value = formula
     try:
         embeddings, err = embed_all(value)  # one error bound serves every j
-        err /= scale  # delta of the printed value / scale: embedding_error(p, sum |c| / scale)
     except OverflowError:
         raise InvalidParameters(
             f"the embeddings of IK_{n}({q}, {b.serialize()}) lie past the float range"
         ) from None
     for j, c in embeddings.items():
-        c /= scale
         print(f"embedding j={j}: {c.real:.12g}{c.imag:+.12g}i (err <= {err:.3g})")
     poly = min_poly(value)  # checks that it vanishes at z; its degree is the orbit size
-    label = "IK" if scale == 1 else f"{scale}*IK"
-    print(f"degree({label}) = {len(poly) - 1}")
-    print(f"minpoly({label}) = {list(poly)}")
+    print(f"degree(IK) = {len(poly) - 1}")
+    print(f"minpoly(IK) = {list(poly)}")
     return code
 
 

@@ -12,7 +12,7 @@ from itertools import repeat
 from math import cos, gcd, pi, sin
 
 from . import kernels
-from .errors import InvalidParameters
+from .errors import CheckFailed, InvalidParameters
 
 
 def poly_rem(c, f) -> list:
@@ -37,6 +37,13 @@ def subtract_top(c) -> tuple:
     """The canonical coefficients at a prime conductor p = len(c): c less
     its last entry in every place, since Phi_p = 1 + x + ... + x^(p-1)."""
     return tuple(map(operator.sub, c, repeat(c[-1])))
+
+
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise CheckFailed(f"{a} is not divisible by {b} (bug)")
+    return q
 
 
 def power(x, e: int, one, mul):

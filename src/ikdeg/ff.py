@@ -226,8 +226,8 @@ class Field:
     p, k, q, the modulus, the generator and the discrete-log table are fixed
     at construction. _cache grows as charsum reads the field: it keeps each
     power G^e of the Gauss sum, each n's tuple of scaled values and each
-    n's two rows of tuple counts, and the traces of the basis are computed
-    on first use.
+    n's two rows of tuple counts, until release_tables empties it; the
+    traces of the basis are computed on first use.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -359,6 +359,12 @@ class Field:
     def _trace_of_power(self, j: int) -> int:
         """Tr(g^j), with no FieldElt built."""
         return self._trace_coords(self._pow_table[j % (self.q - 1)])
+
+    def release_tables(self) -> None:
+        """Drop every table charsum keeps in _cache: a sweep over many
+        fields holds one field's tables at a time. Each is rebuilt if it
+        is read again."""
+        self._cache.clear()
 
     def __repr__(self):
         if self.k == 1:

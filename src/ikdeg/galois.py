@@ -8,7 +8,7 @@ no factorization is needed.
 from math import gcd
 
 from .charsum import _check_ik_args, scaled_ik_at_p
-from .cyclo import CycInt, galois_apply, prime_conductor
+from .cyclo import CycInt, _exact_div, galois_apply, prime_conductor
 from .errors import CheckFailed, InvalidParameters
 from .ff import Field
 
@@ -36,13 +36,6 @@ def degree_of(z: CycInt) -> int:
         all(c[a * e % p] == x for e, x in enumerate(c)) for a in range(1, p) if c[a] == c[1]
     )
     return (p - 1) // fixing
-
-
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise CheckFailed(f"{a} is not divisible by {b} (bug)")
-    return q
 
 
 def min_poly(z: CycInt) -> tuple:

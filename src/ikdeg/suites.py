@@ -6,7 +6,7 @@ parameters.
 
 from math import gcd
 
-from .charsum import bound_errors, inverted_kloosterman_brute, orbit_bounds, scaled_ik_formula, scaled_ik_values
+from .charsum import bound_errors, ik_formula, inverted_kloosterman_brute, orbit_bounds, scaled_ik_values
 from .ff import get_field, is_prime
 from .galois import degree_bound, ik_degree
 from .padic import case_analysis, stickelberger_check
@@ -28,10 +28,10 @@ def _primes_upto(n):
 
 
 def identity_suite(p=None, n=None):
-    """The two routes agree: q(q-1) * count == Gauss-sum formula, exact,
-    in Z[zeta_p], for every b, read both ways off the count: per b
-    (inverted_kloosterman_brute) and as the kept value that the census
-    and the other suites read (scaled_ik_values)."""
+    """The two routes agree: count == Gauss-sum formula, exact, in
+    Z[zeta_p], for every b, read both ways off the count: per b
+    (inverted_kloosterman_brute) and as the kept value q(q-1) * IK that
+    the census and the other suites read (scaled_ik_values)."""
     primes = list(IDENTITY_PRIMES) if p is None else [p]
     ns = list(IDENTITY_NS) if n is None else [n]
     lines = []
@@ -42,9 +42,9 @@ def identity_suite(p=None, n=None):
             values = scaled_ik_values(F, nn)
             bad = []
             for b in F.units():
-                formula = scaled_ik_formula(F, nn, b)
+                formula = ik_formula(F, nn, b)
                 brute = inverted_kloosterman_brute(F, nn, b)
-                if pp * (pp - 1) * brute != formula or values[F.dlog(b)] != formula:
+                if brute != formula or values[F.dlog(b)] != pp * (pp - 1) * formula:
                     bad.append(b.serialize())
             if bad:
                 ok = False

@@ -21,7 +21,7 @@ from ikdeg import (
 )
 from ikdeg.charsum import (
     _brute_counts, _character_terms, _relabel, additive_char, bound_errors, bounds_check, galois_orbits,
-    ik_formula_scaled, _check_fits, _count_rows, kloosterman_brute, mult_char, orbit_bounds, s1_identity_check, scaled_ik_formula,
+    ik_formula, ik_formula_scaled, _check_fits, _count_rows, kloosterman_brute, mult_char, orbit_bounds, s1_identity_check,
     scaled_ik_values,
 )
 from ikdeg.cyclo import change_conductor, embed_complex, lower_conductor
@@ -230,7 +230,7 @@ def test_count_equals_the_formula_coefficient_for_coefficient(p, k):
         values = scaled_ik_values(F, n)
         assert len(values) == F.q - 1
         for j, z in enumerate(values):
-            formula = scaled_ik_formula(F, n, F.pow_of_generator(j))
+            formula = F.q * (F.q - 1) * ik_formula(F, n, F.pow_of_generator(j))
             assert z.coeffs == z.canonical() == formula.coeffs, (F.q, n, j)
 
 

@@ -72,7 +72,7 @@ def test_python_dash_m_entry_point():
         (got, out, err), = results
         assert got == code, err
         if code == 0:
-            assert "degree(20*IK) = 2" in out and err == ""
+            assert out.endswith("degree(IK) = 2\nminpoly(IK) = [-1, 1, 1]\n") and err == ""
         else:
             assert out == "" and err == "error: argument --k: invalid int value: 'x'\n"
 
@@ -180,16 +180,62 @@ def test_sum_both_paths(capsys):
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (31, 1)])
 def test_sum_formula_line_is_the_wide_formula(capsys, p, k):
-    # q = 2, 3, 4, 8, 9, 25, 27, 31: the line prints the value at conductor
-    # p, the literal Gauss-sum formula at conductor p(q-1) lowered to p
+    # q = 2, 3, 4, 8, 9, 25, 27, 31: the line prints IK at conductor p, the
+    # literal Gauss-sum formula at conductor p(q-1) lowered to p and
+    # divided exactly by q(q-1)
     F = get_field(p, k)
     q, b = F.q, F.generator.serialize()
     for n in (1, 2):
         code, out, _ = run_cli(capsys, "sum", "--p", str(p), "--k", str(k), "--n", str(n), "--b", b)
         assert code == 0
-        want = lower_conductor(ik_formula_scaled(F, n, F.generator), p).to_dict()
-        assert want["m"] == p
-        assert out.splitlines()[0] == f"formula {q * (q - 1)}*IK_{n}({q}, {b}) = {json.dumps(want)}"
+        scaled = lower_conductor(ik_formula_scaled(F, n, F.generator), p).to_dict()
+        assert scaled["m"] == p
+        quotients = [divmod(c, q * (q - 1)) for c in scaled["coeffs"]]
+        assert all(r == 0 for _, r in quotients)
+        want = {"m": p, "coeffs": [c for c, _ in quotients]}
+        assert out.splitlines()[0] == f"formula IK_{n}({q}, {b}) = {json.dumps(want)}"
+
+
+def _after_the_value_lines(out):
+    lines = out.splitlines()
+    return lines[next(i for i, line in enumerate(lines) if line.startswith("embedding ")):]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (31, 1), (3, 2), (2, 3)])
+def test_every_path_prints_the_same_lines_for_ik(capsys, p, k, n):
+    # one canonical value of IK_n(q, b), whichever route read it
+    F = get_field(p, k)
+    b = F.generator.serialize()
+    outs = {}
+    for path in ("brute", "formula", "both"):
+        code, out, err = run_cli(capsys, *f"sum --p {p} --k {k} --n {n} --b {b} --path {path}".split())
+        assert (code, err) == (0, ""), path
+        outs[path] = out
+    tails = {path: _after_the_value_lines(out) for path, out in outs.items()}
+    assert tails["brute"] == tails["formula"] == tails["both"]
+    assert len(tails["brute"]) == p - 1 + 2 and tails["brute"][-2].startswith("degree(IK) = ")
+    assert tails["brute"][-1].startswith("minpoly(IK) = [")
+    value = outs["brute"].splitlines()[0].split(" = ", 1)[1]
+    assert outs["formula"].splitlines()[0] == f"formula IK_{n}({F.q}, {b}) = {value}"
+    assert outs["both"].splitlines()[:3] == [
+        f"brute IK_{n}({F.q}, {b}) = {value}", f"formula IK_{n}({F.q}, {b}) = {value}", "paths agree: True"
+    ]
+
+
+def test_a_remainder_in_the_formula_division_fails_sum_and_verify_identity(monkeypatch, capsys):
+    # the kept constant off by one leaves coefficient 0 of q(q-1) * IK one
+    # past a multiple of q(q-1)
+    F = get_field(5)
+    for n in (1, 2, 3):
+        charsum.ik_formula(F, n, 1)
+        term, rho0, const = F._cache[("formula", n)]
+        monkeypatch.setitem(F._cache, ("formula", n), (term, rho0, const + 1))
+    for argv in ("sum --p 5 --n 1 --b 2", "sum --p 5 --n 1 --b 2 --path both", "verify identity --p 5"):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1, argv
+        assert re.fullmatch(r"error: -?\d+ is not divisible by 20 \(bug\)\n", err), err
+        assert "ok" not in out and "paths agree" not in out
 
 
 coeff = st.integers(-(2**70), 2**70) | st.integers(-5, 5)
@@ -391,6 +437,22 @@ def test_fields_keep_only_gauss_powers_and_value_tuples(fresh_fields, capsys):
                 assert (len(term), len(rho0), type(const)) == (F.p * (F.q - 1), F.p, int)
 
 
+def test_a_census_holds_the_tables_of_one_field_at_a_time(fresh_fields, monkeypatch, capsys):
+    # a field's count rows and values are released once its rows are built,
+    # before the next field is looked up, and none is left at the end
+    build, asked = ff._field, []
+
+    def watched(p, k):
+        asked.append((p, sorted(q for (q, _), F in fresh_fields.items() if F._cache)))
+        return build(p, k)
+
+    monkeypatch.setattr(ff, "_field", watched)
+    assert run_cli(capsys, *"census --p 3 --p-max 31 --n 1 --n-max 3".split())[0] == 0
+    assert sorted(fresh_fields) == [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+    assert all(set(held) <= {p} for p, held in asked), asked
+    assert [F._cache for F in fresh_fields.values()] == [{}] * 10
+
+
 REFERENCE = json.loads((SRC.parent / "perfbench" / "reference.json").read_text())
 CENSUS_PRIME = "census --p 3 --p-max 31 --n 1 --n-max 4"
 
@@ -427,8 +489,8 @@ def test_ungated_outputs_match_pinned_digests(capsys, argv):
 def test_sum_formula_degree(capsys):
     code, out, _ = run_cli(capsys, "sum", "--p", "5", "--n", "1", "--b", "1")
     assert code == 0
-    assert "degree(20*IK) = 2" in out
-    assert "minpoly(20*IK) = [-400, 20, 1]" in out
+    assert "degree(IK) = 2" in out
+    assert "minpoly(IK) = [-1, 1, 1]" in out
 
 
 def test_sum_missing_args(capsys):
@@ -647,16 +709,37 @@ def _run_capped(argv, limit):
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
-@pytest.mark.parametrize("argv", ["census --p 7001 --n 1", "sum --p 7001 --n 1 --b 1 --path formula"])
+TABLES_PAST_1_GIB = {
+    "census --p 7001 --n 1": "2.38 GiB for 7000 values of 7001 coefficients",
+    "sum --p 7001 --n 1 --b 1 --path formula": "14.2 GiB for the Gauss-sum formula's 49007000 coefficients",
+}
+
+
+@pytest.mark.parametrize("argv", list(TABLES_PAST_1_GIB))
 def test_a_table_past_the_address_space_limit_is_refused_at_once(argv):
-    # (q-1)p = 49 007 000 coefficients, about 2.38 GiB: the child's 1 GiB
-    # address-space limit refuses them, not physical memory, and it does
-    # so before building any, which would take minutes
+    # (q-1)p = 49 007 000 coefficients, charged per value by the census and
+    # per int the formula holds: the child's 1 GiB address-space limit
+    # refuses them, not physical memory, and it does so before building
+    # any, which would take minutes
     code, out, err, seconds = _run_capped(argv, 2**30)
     assert (code, out) == (2, "")
     assert re.fullmatch(
-        r"error: q = 7001 needs about 2.38 GiB for 7000 values of 7001 coefficients "
+        rf"error: q = 7001 needs about {TABLES_PAST_1_GIB[argv]} "
         r"beside the [\d.]+ GiB in use, over the address-space limit of 1 GiB\n",
+        err,
+    ), err
+    assert seconds < 5
+
+
+def test_a_formula_sum_past_the_address_space_limit_is_refused_before_term_1():
+    # charged like a census table, at 54 bytes a coefficient, this sum passed
+    # the check under 36 MiB and died of MemoryError while term 1 was built;
+    # its growth is 165 bytes a coefficient, and the formula's charge 312
+    code, out, err, seconds = _run_capped("sum --p 401 --n 1 --b 3 --path formula", 36 << 20)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: q = 401 needs about 0.0466 GiB for the Gauss-sum formula's 160400 coefficients "
+        r"beside the [\d.]+ GiB in use, over the address-space limit of 0.0352 GiB\n",
         err,
     ), err
     assert seconds < 5
